@@ -55,6 +55,7 @@ from .omp import (
     RecoveryResult,
     detection_probability_bound,
     omp_recover,
+    omp_recover_batch,
     score_recovery,
 )
 from .crb import (
@@ -104,6 +105,7 @@ __all__ = [
     "RecoveryResult",
     "detection_probability_bound",
     "omp_recover",
+    "omp_recover_batch",
     "score_recovery",
     "ChirpModel",
     "crb_variance",

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .signal_clock import ClockConfig, TimeGrid, theta_eval, theta_rate
 
@@ -116,7 +117,7 @@ def kth_spectrum(
     if abs(k) * clock.f_dev >= grid.f_atomic / 2.0:
         raise ValueError("modulation image would leave the representable band")
     phase = k * theta_eval(clock.modulation, grid.times())
-    spec = np.fft.fft(x * np.exp(1j * phase), norm="ortho")
+    spec = scipy.fft.fft(x * np.exp(1j * phase), norm="ortho", overwrite_x=True)
     shift = int(round(k * clock.f_s1 / grid.f_res))
     return np.roll(spec, shift)
 

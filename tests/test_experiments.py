@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nyfold import cli, svgplot
+from nyfold import cli, omp, svgplot
 from nyfold.experiments import (
     EXPERIMENTS,
     SCALES,
@@ -18,6 +18,7 @@ from nyfold.experiments import (
     load_config_file,
     read_sections,
     resolve_config,
+    run_recovery_sweep,
     run_strip_table,
     write_sections,
 )
@@ -176,6 +177,29 @@ class TestStripTableRunner:
         assert a.read_bytes() == b.read_bytes()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestRecoverySweepRunner:
+    # K = 327 samples on a 16384-point grid; -10 dB rows fail some or all trials
+    OVERRIDES = {
+        "grid": {"n_points": "16384"},
+        "clock": {"period_s": "1.6384e-6"},
+        "sweep": {"sparsity": "2:10:4", "snr_db": "10 0 -10", "trials": "6"},
+    }
+
+    @pytest.mark.parametrize("rows_per_block", [None, 4])
+    def test_csv_matches_golden(self, tmp_path, monkeypatch, rows_per_block):
+        """results.csv is pinned byte for byte, also with trials split across blocks."""
+        if rows_per_block is not None:
+            monkeypatch.setattr(omp, "_BATCH_POINTS", rows_per_block * 16384)
+        config = resolve_config("recovery-sweep", "desk", self.OVERRIDES)
+        manifest = run_recovery_sweep(config, seed=11, scale="desk")
+        path = tmp_path / "results.csv"
+        manifest.write_csv(path)
+        assert path.read_bytes() == (GOLDEN / "recovery_sweep_small.csv").read_bytes()
+
+
 class TestCli:
     def test_strip_table_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -222,6 +246,19 @@ class TestCli:
         )
         assert code == 2
         assert "noise_sigma2" in capsys.readouterr().err
+
+    def test_non_finite_measurements_exit_3(self, tmp_path, capsys):
+        ini = tmp_path / "nan.ini"
+        ini.write_text(
+            "[grid]\nn_points = 16384\n[clock]\nperiod_s = 1.6384e-6\n"
+            "[sweep]\nsparsity = 2\nsnr_db = 10\ntrials = 2\namplitude = nan\n",
+            encoding="utf-8",
+        )
+        code = cli.main(
+            ["recovery-sweep", "--config", str(ini), "--out", str(tmp_path / "o")]
+        )
+        assert code == 3
+        assert "measurement row 0 is not finite" in capsys.readouterr().err
 
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nyfold import omp
 from nyfold.omp import (
     DetectionBound,
     GramSingularError,
     RecoveryResult,
     detection_probability_bound,
     omp_recover,
+    omp_recover_batch,
     score_recovery,
 )
 from nyfold.sensing import SensingOperator, SparseSpectrum
@@ -159,6 +161,84 @@ class TestOmpRecover:
         assert isinstance(result, RecoveryResult)
         with pytest.raises(AttributeError):
             result.support = (1,)
+
+
+def assert_same_result(got, want):
+    assert got.support == want.support
+    assert got.coefficients.dtype == want.coefficients.dtype
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert got.residual_norm == want.residual_norm
+    assert got.iterations == want.iterations
+    assert got.selection_log == want.selection_log
+
+
+class CountingOp(SensingOperator):
+    """SensingOperator that records the shape of every adjoint input."""
+
+    def __init__(self, op):
+        super().__init__(op.grid, op.schedule)
+        self.adjoint_shapes = []
+
+    def adjoint(self, y):
+        self.adjoint_shapes.append(np.shape(y))
+        return super().adjoint(y)
+
+
+class TestOmpRecoverBatch:
+    MAX_ITERS = 6
+
+    @pytest.fixture(scope="class")
+    def batch(self, op):
+        """Rows: noisy 3-tone, zero, noiseless 1-tone (stops early), pure noise."""
+        rng = np.random.default_rng(12)
+        k = op.k_measurements
+        three = op.forward(
+            SparseSpectrum(np.array([40, 170, 401]), np.array([1.0, 0.7j, -0.5]))
+        )
+        one = op.forward(SparseSpectrum(np.array([222]), np.array([1.5 + 0j])))
+        noise = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        return np.stack([add_noise(three, 10.0, seed=5), np.zeros(k), one, noise])
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+    def test_rows_equal_single_row_bitwise(self, op, batch, monkeypatch, rows_per_block):
+        if rows_per_block is not None:
+            monkeypatch.setattr(omp, "_BATCH_POINTS", rows_per_block * op.n_bins)
+        results = omp_recover_batch(op, batch, self.MAX_ITERS, residual_tol=1e-10)
+        monkeypatch.undo()
+        assert len(results) == len(batch)
+        for row, got in zip(batch, results):
+            assert_same_result(got, omp_recover(op, row, self.MAX_ITERS, 1e-10))
+        assert [r.iterations for r in results] == [self.MAX_ITERS, 0, 1, self.MAX_ITERS]
+
+    def test_one_adjoint_per_iteration_over_active_rows(self, op, batch):
+        counting = CountingOp(op)
+        omp_recover_batch(counting, batch, self.MAX_ITERS, residual_tol=1e-10)
+        k = op.k_measurements
+        # the zero row never enters; the one-tone row leaves after iteration 1
+        assert counting.adjoint_shapes == [(k, 3)] + [(k, 2)] * (self.MAX_ITERS - 1)
+
+    def test_blocks_bound_rows_per_adjoint(self, op, batch, monkeypatch):
+        monkeypatch.setattr(omp, "_BATCH_POINTS", 2 * op.n_bins)
+        counting = CountingOp(op)
+        omp_recover_batch(counting, batch, 2)
+        assert max(shape[1] for shape in counting.adjoint_shapes) == 2
+        assert len(counting.adjoint_shapes) == 4  # two blocks, two iterations each
+
+    def test_non_finite_row_named(self, op, batch):
+        bad = batch.copy()
+        bad[2, 7] = np.nan
+        with pytest.raises(ValueError, match="row 2"):
+            omp_recover_batch(op, bad, max_iters=2)
+        with pytest.raises(ValueError, match="row 0"):
+            omp_recover(op, bad[2], max_iters=2)
+
+    def test_shape_validated(self, op):
+        k = op.k_measurements
+        with pytest.raises(ValueError):
+            omp_recover_batch(op, np.ones(k, dtype=complex), max_iters=1)
+        with pytest.raises(ValueError):
+            omp_recover_batch(op, np.ones((2, k + 1), dtype=complex), max_iters=1)
+        assert omp_recover_batch(op, np.ones((0, k), dtype=complex), max_iters=1) == []
 
 
 class TestScoreRecovery:

@@ -117,6 +117,29 @@ class TestOperatorAlgebra:
         )
         assert_allclose(op.adjoint(y), dense.conj().T @ y, atol=1e-10)
 
+    def test_batched_adjoint_equals_per_column_bitwise(self, chirped_op):
+        rng = np.random.default_rng(31)
+        k = chirped_op.k_measurements
+        y = rng.standard_normal((k, 5)) + 1j * rng.standard_normal((k, 5))
+        batch = chirped_op.adjoint(y)
+        assert batch.shape == (chirped_op.n_bins, 5)
+        for b in range(5):
+            assert np.array_equal(batch[:, b], chirped_op.adjoint(y[:, b]))
+
+    def test_adjoint_rejects_bad_shapes(self, op):
+        k = op.k_measurements
+        for shape in [(k + 1,), (k - 1, 2), (k, 2, 1), ()]:
+            with pytest.raises(ValueError):
+                op.adjoint(np.ones(shape, dtype=complex))
+
+    def test_adjoint_rejects_non_finite(self, op):
+        y = np.ones((op.k_measurements, 3), dtype=complex)
+        y[4, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            op.adjoint(y)
+        with pytest.raises(ValueError, match="finite"):
+            op.adjoint(np.full(op.k_measurements, np.inf, dtype=complex))
+
     def test_adjoint_restricted_matches_full(self, op):
         rng = np.random.default_rng(4)
         y = rng.standard_normal(op.k_measurements) + 1j * rng.standard_normal(
