@@ -26,6 +26,7 @@ from .signal_clock import (
     fold_tone,
     folded_spectrum,
     modulation_index_for_zone,
+    sample_tones,
     synthesize_signal,
     theta_eval,
     theta_rate,
@@ -82,6 +83,7 @@ __all__ = [
     "fold_tone",
     "folded_spectrum",
     "modulation_index_for_zone",
+    "sample_tones",
     "synthesize_signal",
     "theta_eval",
     "theta_rate",

@@ -5,6 +5,10 @@ integer, so under a linear sweep its chirp rate is an integer multiple of the
 sweep slope. Identifying the zone is therefore a chirp-rate classification
 problem, and the Cramer-Rao variance bound on the rate estimate converts into
 a ceiling on the zone-identification probability.
+
+The Monte Carlo trials build each measurement in the sample domain: the tone
+is evaluated only at the K schedule sample times and noised there, never on
+the full N-point grid, so a trial costs O(K) before its one OMP step.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .signal_clock import (
     ToneSpec,
     add_noise,
     compute_sample_schedule,
-    synthesize_signal,
+    sample_tones,
 )
 
 
@@ -141,10 +145,11 @@ def simulate_nz_trials(
     """Monte Carlo zone identification through one-step greedy detection.
 
     Per trial a single tone is drawn uniformly over the first ``n_zones``
-    zones, synthesized on the grid, noised at ``snr_db`` (per-sample, against
-    the tone's mean power), and measured through the modulated schedule
-    truncated to K samples. The strongest dictionary bin maps back to a zone
-    by its frequency; the trial succeeds when that zone is the tone's.
+    zones, evaluated at the K sample times of the modulated schedule (the
+    schedule truncated to K samples), noised there at ``snr_db`` per sample
+    against the sampled tone's mean power, and passed to one OMP step. The
+    strongest dictionary bin maps back to a zone by its frequency; the trial
+    succeeds when that zone is the tone's.
 
     Returns the success fraction per entry of ``k_values``.
     """
@@ -163,15 +168,15 @@ def simulate_nz_trials(
     fractions = np.empty(len(k_values), dtype=float)
     for ki, k in enumerate(k_values):
         op = SensingOperator(grid, schedule.truncated(int(k)))
+        times = op.schedule.indices * grid.t_atom
         hits = 0
         for trial in range(trials):
             rng = np.random.default_rng([seed, ki, trial])
             freq = rng.uniform(0.0, band)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             tone = ToneSpec(frequency=freq, amplitude=1.0, phase=phase)
-            signal = synthesize_signal([tone], grid, complex_mode=True)
-            noisy = add_noise(signal, snr_db, seed=int(rng.integers(2**63)))
-            result = omp_recover(op, noisy[op.schedule.indices], max_iters=1)
+            y = add_noise(sample_tones([tone], times), snr_db, seed=int(rng.integers(2**63)))
+            result = omp_recover(op, y, max_iters=1)
             detected = result.support[0]
             zone_est = int(math.floor(2.0 * detected * grid.f_res / clock.f_s1))
             zone_true = int(math.floor(2.0 * freq / clock.f_s1))

@@ -19,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .signal_clock import (
     compute_sample_schedule,
     fold_tone,
     folded_spectrum,
+    sample_tones,
 )
 from .svgplot import line_plot
 
@@ -512,15 +513,6 @@ def _spectrogram_table(signal, schedule, grid, clock, config) -> list[list[str]]
     return rows
 
 
-def _tones_at_times(tones: Sequence[ToneSpec], times: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(times), dtype=complex)
-    for tone in tones:
-        out += tone.amplitude * np.exp(
-            1j * (2.0 * math.pi * tone.frequency * times + tone.phase)
-        )
-    return out
-
-
 def _draw_tones(rng, sparsity, f_res, band, min_sep_bins, amplitude) -> list[ToneSpec]:
     lo, hi = band
     min_sep = min_sep_bins * f_res
@@ -563,7 +555,7 @@ def run_recovery_sweep(config, seed: int, scale: str) -> ResultManifest:
                     fanout_seed(seed, "recovery-sweep", point, trial)
                 )
                 tones = _draw_tones(rng, s, grid.f_res, band, min_sep, amplitude)
-                clean = _tones_at_times(tones, sample_times)
+                clean = sample_tones(tones, sample_times)
                 measurements[trial] = add_noise(clean, snr_db, seed=int(rng.integers(2**63)))
                 truths.append(tones)
             results = omp_recover_batch(op, measurements, max_iters=s, residual_tol=1e-12)

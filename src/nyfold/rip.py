@@ -15,13 +15,14 @@ peak-to-band-energy constant over harmonic scalings k,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .signal_clock import ClockConfig, TimeGrid, theta_eval, theta_rate
+from .signal_clock import ClockConfig, Modulation, TimeGrid, theta_eval, theta_rate
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 
@@ -102,6 +103,14 @@ def max_recoverable_sparsity(n: int, k: int, delta_target: float, p_fail: float)
     return best
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_theta(modulation: Modulation, grid: TimeGrid) -> np.ndarray:
+    # repeated kth_spectrum calls on one clock and grid reuse theta (read-only)
+    theta = theta_eval(modulation, grid.times())
+    theta.flags.writeable = False
+    return theta
+
+
 def kth_spectrum(
     x: np.ndarray, k: int, clock: ClockConfig, grid: TimeGrid
 ) -> np.ndarray:
@@ -116,7 +125,7 @@ def kth_spectrum(
         raise ValueError("signal length does not match the grid")
     if abs(k) * clock.f_dev >= grid.f_atomic / 2.0:
         raise ValueError("modulation image would leave the representable band")
-    phase = k * theta_eval(clock.modulation, grid.times())
+    phase = k * _grid_theta(clock.modulation, grid)
     spec = scipy.fft.fft(x * np.exp(1j * phase), norm="ortho", overwrite_x=True)
     shift = int(round(k * clock.f_s1 / grid.f_res))
     return np.roll(spec, shift)

@@ -122,12 +122,16 @@ class SensingOperator:
         if isinstance(x, SparseSpectrum):
             if x.bins[-1] >= self.n_bins:
                 raise ValueError("spectrum bins exceed the operator size")
+            if not np.isfinite(x.coefficients).all():
+                raise ValueError("spectrum coefficients must be finite")
             if self._use_direct(x.sparsity):
                 return self.atoms(x.bins) @ x.coefficients
             return self._forward_dense(x.to_dense(self.n_bins))
         x = np.asarray(x)
         if x.shape != (self.n_bins,):
             raise ValueError("dense input must have length N")
+        if not np.isfinite(x).all():
+            raise ValueError("dense input must be finite")
         return self._forward_dense(x.astype(complex, copy=False))
 
     def _forward_dense(self, dense: np.ndarray) -> np.ndarray:

@@ -296,13 +296,27 @@ def _bracketed_crossing(mod, omega, target, t_prev, f_s1, tol) -> float:
     return t
 
 
+def sample_tones(tones: Sequence[ToneSpec], times: np.ndarray) -> np.ndarray:
+    """Sum of complex tones ``A exp(j (2 pi f t + phase))`` at the given times.
+
+    Measurement code calls it at the schedule's sample times (``indices *
+    t_atom``); complex-mode ``synthesize_signal`` calls it on the whole grid,
+    so the two agree bitwise at the schedule indices. No band check is made.
+    """
+    out = np.zeros(len(times), dtype=complex)
+    for tone in tones:
+        out += tone.amplitude * np.exp(1j * (TWO_PI * tone.frequency * times + tone.phase))
+    return out
+
+
 def synthesize_signal(
     tones: Sequence[ToneSpec], grid: TimeGrid, complex_mode: bool = True
 ) -> np.ndarray:
     """Sum of tones evaluated on the atomic grid.
 
-    In complex mode each tone is ``A exp(j (2 pi f t + phase))``; in real mode
-    a cosine. Tones at or above ``f_atomic / 2`` are rejected as unrepresentable.
+    In complex mode each tone is ``A exp(j (2 pi f t + phase))`` (see
+    ``sample_tones``); in real mode a cosine. Tones at or above
+    ``f_atomic / 2`` are rejected as unrepresentable.
     """
     half = grid.f_atomic / 2.0
     for tone in tones:
@@ -311,13 +325,11 @@ def synthesize_signal(
                 f"tone at {tone.frequency:g} Hz is at or above f_atomic/2 = {half:g} Hz"
             )
     t = grid.times()
-    out = np.zeros(grid.n_points, dtype=complex if complex_mode else float)
+    if complex_mode:
+        return sample_tones(tones, t)
+    out = np.zeros(grid.n_points, dtype=float)
     for tone in tones:
-        ph = TWO_PI * tone.frequency * t + tone.phase
-        if complex_mode:
-            out += tone.amplitude * np.exp(1j * ph)
-        else:
-            out += tone.amplitude * np.cos(ph)
+        out += tone.amplitude * np.cos(TWO_PI * tone.frequency * t + tone.phase)
     return out
 
 

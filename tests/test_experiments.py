@@ -1,12 +1,17 @@
 """Tests for experiment presets, result serialization, runners, and the CLI."""
 
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nyfold import cli, omp, svgplot
+import nyfold
+from nyfold import cli, crb, omp, signal_clock, svgplot
 from nyfold.experiments import (
     EXPERIMENTS,
     SCALES,
@@ -20,6 +25,7 @@ from nyfold.experiments import (
     resolve_config,
     run_recovery_sweep,
     run_strip_table,
+    run_zone_id,
     write_sections,
 )
 from nyfold.rip import max_recoverable_sparsity, strip_failure_probability
@@ -200,6 +206,36 @@ class TestRecoverySweepRunner:
         assert path.read_bytes() == (GOLDEN / "recovery_sweep_small.csv").read_bytes()
 
 
+class TestZoneIdRunner:
+    OVERRIDES = {"zones": {"k_values": "100 400 1000", "trials": "6"}}
+
+    def test_csv_matches_golden(self, tmp_path):
+        """results.csv is pinned byte for byte on the sample-domain noise stream."""
+        config = resolve_config("zone-id", "desk", self.OVERRIDES)
+        manifest = run_zone_id(config, seed=11, scale="desk")
+        path = tmp_path / "results.csv"
+        manifest.write_csv(path)
+        assert path.read_bytes() == (GOLDEN / "zone_id_small.csv").read_bytes()
+
+    def test_trials_synthesize_and_noise_only_k_samples(self, monkeypatch):
+        def no_grid_synthesis(*args, **kwargs):
+            raise AssertionError("zone-id trials must not synthesize the full grid")
+
+        noised = []
+
+        def recording_add_noise(signal, snr_db, seed):
+            noised.append(np.shape(signal))
+            return signal_clock.add_noise(signal, snr_db, seed)
+
+        monkeypatch.setattr(signal_clock, "synthesize_signal", no_grid_synthesis)
+        monkeypatch.setattr(crb, "synthesize_signal", no_grid_synthesis, raising=False)
+        monkeypatch.setattr(crb, "add_noise", recording_add_noise)
+        grid = signal_clock.TimeGrid(1e-10, 100_000)
+        clock = signal_clock.ClockConfig(2e8, signal_clock.LinearChirp(1e7, 1e-5))
+        crb.simulate_nz_trials(grid, clock, -14.0, 20, [100, 400], trials=2, seed=3)
+        assert noised == [(100,), (100,), (400,), (400,)]
+
+
 class TestCli:
     def test_strip_table_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -259,6 +295,32 @@ class TestCli:
         )
         assert code == 3
         assert "measurement row 0 is not finite" in capsys.readouterr().err
+
+    def test_zone_id_subprocess_exit_codes(self, tmp_path):
+        src = str(Path(nyfold.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def run(ini_text, name):
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(ini_text, encoding="utf-8")
+            out = tmp_path / name
+            command = [sys.executable, "-m", "nyfold.cli", "zone-id",
+                       "--config", str(ini), "--out", str(out)]
+            proc = subprocess.run(command, env=env, capture_output=True, text=True,
+                                  timeout=120)
+            return proc, out
+
+        proc, out = run("[zones]\nk_values = 100 200\ntrials = 2\n", "ok")
+        assert proc.returncode == 0, proc.stderr
+        header = (out / "results.csv").read_text(encoding="utf-8").split("\n")[0]
+        assert header == (
+            "k_samples,theorem_lower_bound,crb_probability,empirical_probability,"
+            "successes,trials,standard_error"
+        )
+        proc, _ = run("[clock]\nmodulation = sine\n[zones]\ntrials = 2\n", "sine")
+        assert proc.returncode == 2
+        assert "chirp-modulated clock" in proc.stderr
 
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit) as excinfo:

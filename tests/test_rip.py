@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from nyfold import rip
 from nyfold.rip import (
     SQRT2_MINUS_1,
     estimate_modulation_constant,
@@ -128,6 +130,25 @@ class TestModulatedSpectra:
             peak = int(np.argmax(np.abs(spectrum)))
             expected = j + round(k * clock.f_s1 / grid.f_res)
             assert abs(peak - expected) <= 1
+
+    def test_cached_theta_is_bitwise_and_follows_its_key(self, setup):
+        """kth_spectrum reuses theta per (modulation, grid) without changing a bit."""
+        grid, clock = setup
+        other_grid = TimeGrid(t_atom=1e-10, n_points=32768)
+        sine = ClockConfig(2e8, Sinusoid(1e7, grid.duration))
+        rng = np.random.default_rng(4)
+        for g, c, k in [(grid, clock, 2), (grid, clock, -3), (other_grid, clock, 1),
+                        (grid, sine, 2), (grid, clock, 2)]:
+            x = rng.standard_normal(g.n_points) + 1j * rng.standard_normal(g.n_points)
+            phase = k * _theta_on_grid(c, g)
+            expected = np.roll(
+                scipy.fft.fft(x * np.exp(1j * phase), norm="ortho"),
+                int(round(k * c.f_s1 / g.f_res)),
+            )
+            assert np.array_equal(kth_spectrum(x, k, c, g), expected)
+        cached = rip._grid_theta(clock.modulation, grid)
+        assert cached is rip._grid_theta(clock.modulation, grid)
+        assert not cached.flags.writeable
 
     def test_rejects_order_beyond_grid(self, setup):
         grid, clock = setup

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from nyfold.sensing import (
@@ -20,6 +23,7 @@ from nyfold.sensing import (
 from nyfold.signal_clock import (
     ClockConfig,
     LinearChirp,
+    SampleSchedule,
     TimeGrid,
     ToneSpec,
     compute_sample_schedule,
@@ -140,6 +144,23 @@ class TestOperatorAlgebra:
         with pytest.raises(ValueError, match="finite"):
             op.adjoint(np.full(op.k_measurements, np.inf, dtype=complex))
 
+    def test_forward_rejects_non_finite_dense(self, op):
+        x = np.ones(op.n_bins, dtype=complex)
+        x[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            op.forward(x)
+        x[7] = complex(1.0, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            op.forward(x)
+
+    def test_forward_rejects_non_finite_sparse(self, op):
+        # 2 bins take the direct path, 200 the FFT path; both are guarded
+        for bins in ([3, 90], np.arange(200)):
+            coefficients = np.ones(len(bins), dtype=complex)
+            coefficients[1] = np.inf
+            with pytest.raises(ValueError, match="finite"):
+                op.forward(SparseSpectrum(bins, coefficients))
+
     def test_adjoint_restricted_matches_full(self, op):
         rng = np.random.default_rng(4)
         y = rng.standard_normal(op.k_measurements) + 1j * rng.standard_normal(
@@ -159,6 +180,32 @@ class TestOperatorAlgebra:
             lhs = np.vdot(y, op.forward(x))
             rhs = np.vdot(op.adjoint(y), x)
             assert_allclose(lhs, rhs, rtol=1e-10)
+
+    # zero or |v| in [1e-3, 1e3]: products of subnormals lose relative precision
+    _VALUES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        picks=st.sets(st.integers(min_value=0, max_value=255), min_size=1, max_size=64),
+        x=hnp.arrays(np.float64, (2, 256), elements=_VALUES),
+        y=hnp.arrays(np.float64, (2, 64), elements=_VALUES),
+    )
+    def test_adjoint_consistency_property(self, picks, x, y):
+        """<Phi x, y> == <x, Phi* y> for random schedules and dense x, y."""
+        grid = TimeGrid(t_atom=1.0 / 256, n_points=256)
+        indices = np.array(sorted(picks), dtype=np.int64)
+        op = SensingOperator(grid, SampleSchedule(indices, indices * grid.t_atom))
+        x = x[0] + 1j * x[1]
+        y = (y[0] + 1j * y[1])[: op.k_measurements]
+        phi_x, phi_star_y = op.forward(x), op.adjoint(y)
+        lhs = np.vdot(y, phi_x)
+        rhs = np.vdot(phi_star_y, x)
+        # relative to the Cauchy-Schwarz scale of either side
+        scale = max(
+            np.linalg.norm(y) * np.linalg.norm(phi_x),
+            np.linalg.norm(phi_star_y) * np.linalg.norm(x),
+        )
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_synthesized_tone_equals_scaled_atom(self, chirped_op):
         """A bin-centered tone sampled on the schedule is sqrt(K) times an atom."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nyfold.signal_clock import (
@@ -20,6 +22,7 @@ from nyfold.signal_clock import (
     fold_tone,
     folded_spectrum,
     modulation_index_for_zone,
+    sample_tones,
     synthesize_signal,
     theta_eval,
     theta_rate,
@@ -196,6 +199,40 @@ class TestSynthesisAndNoise:
         assert_allclose(
             x, synthesize_signal([t1], grid) + synthesize_signal([t2], grid)
         )
+
+    def test_sample_tones_matches_grid_synthesis_bitwise(self):
+        grid = TimeGrid(1e-10, 100_000)
+        clock = ClockConfig(2e8, LinearChirp(1e7, 1e-5))
+        schedule = compute_sample_schedule(clock, grid)
+        tones = [ToneSpec(3.7e9, 0.8, 1.1), ToneSpec(1.25e8, 2.0, 5.9)]
+        sampled = sample_tones(tones, schedule.indices * grid.t_atom)
+        full = synthesize_signal(tones, grid)
+        assert sampled.dtype == np.complex128
+        assert np.array_equal(sampled, full[schedule.indices])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_points=st.integers(min_value=16, max_value=4096),
+        t_atom=st.sampled_from([1e-10, 1e-11, 1.0 / 256, 0.37]),
+        tones=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=0.4999),
+                st.floats(min_value=0.0, max_value=10.0),
+                st.floats(min_value=0.0, max_value=2 * math.pi),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        picks=st.sets(st.integers(min_value=0, max_value=4095), min_size=1, max_size=200),
+    )
+    def test_sample_tones_equals_synthesis_at_schedule(self, n_points, t_atom, tones, picks):
+        """Sampling the tones at the schedule times is bitwise the grid signal there."""
+        grid = TimeGrid(t_atom, n_points)
+        specs = [ToneSpec(f * grid.f_atomic, a, p) for f, a, p in tones]
+        indices = np.array(sorted({i % n_points for i in picks}), dtype=np.int64)
+        schedule = SampleSchedule(indices, indices * t_atom)
+        sampled = sample_tones(specs, schedule.indices * grid.t_atom)
+        assert np.array_equal(sampled, synthesize_signal(specs, grid)[schedule.indices])
 
     def test_rejects_tone_beyond_atomic_nyquist(self):
         grid = TimeGrid(t_atom=1e-3, n_points=64)
