@@ -3,7 +3,8 @@
 ``nyfold EXPERIMENT`` resolves the preset configuration for the chosen scale,
 overlays an optional INI file, runs the experiment, and writes ``results.csv``
 plus ``manifest.txt`` (and SVG plots with ``--plots``) into the output
-directory. Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+directory. Exit codes: 0 success, 2 configuration error or an output directory
+that cannot be written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
     out_dir = Path(args.out) if args.out else Path("results") / args.experiment
-    written = write_outputs(manifest, out_dir, plots=args.plots)
+    try:
+        written = write_outputs(manifest, out_dir, plots=args.plots)
+    except OSError as exc:
+        print(f"nyfold: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.experiment} ({args.scale} scale, seed {seed}): "
           f"{len(manifest.records)} records in {manifest.wall_clock_s:.2f}s")
     for key, value in manifest.notes.items():

@@ -8,12 +8,17 @@ echo, and derived summary notes. Reruns with the same config and seed
 reproduce the records byte-for-byte; trial seeds are derived from the master
 seed, the experiment id, and the sweep/trial position, so execution order is
 immaterial.
+
+An experiment is data: one ``PRESETS`` entry, and one ``SPECS`` entry naming
+its body function, CSV columns and plot. ``_run`` times the body and builds
+the manifest for every experiment alike.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import hashlib
 import math
 import time
@@ -49,14 +54,6 @@ from .signal_clock import (
 )
 from .svgplot import line_plot
 
-EXPERIMENTS = (
-    "strip-table",
-    "mod-constant",
-    "spectrum",
-    "recovery-sweep",
-    "zone-id",
-    "deviation-sweep",
-)
 SCALES = ("full", "desk")
 
 
@@ -153,123 +150,66 @@ def fanout_seed(master: int, experiment: str, sweep_index: int, trial_index: int
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets: a value is one string for both scales, or a (full, desk) pair
 
-_SQRT2_M1 = repr(SQRT2_MINUS_1)
+_CHIRP_200MHZ = {"f_s1_hz": "2e8", "modulation": "chirp", "f_dev_hz": "1e7"}
+_N_POINTS = ("1000000", "262144")  # 10^6 full, 2^18 desk
+
+PRESETS: dict[str, dict[str, dict]] = {
+    "strip-table": {
+        "strip": {"n_bins": "1000000", "k_measurements": "20000", "delta": repr(SQRT2_MINUS_1),
+                  "tolerances": "0.1 0.05 0.01 0.005"},
+    },
+    # desk scale keeps the same clock but a 10x shorter window
+    "mod-constant": {
+        "grid": {"t_atom_s": "1e-10", "n_points": ("1000000", "100000")},
+        "clock": {**_CHIRP_200MHZ, "period_s": ("1e-4", "1e-5")},
+        "estimate": {"k_max": "20", "sparsity_for_bound": "3"},
+    },
+    "spectrum": {
+        "grid": {"t_atom_s": "1e-11", "n_points": _N_POINTS},
+        "clock": {"f_s1_hz": "2e9", "modulation": "chirp", "f_dev_hz": "1e8",
+                  "period_s": ("1e-5", "2.62144e-6")},
+        "tones": {"frequencies_hz": "5e8 2.5e9 4.5e9 6.5e9", "amplitudes": "1 1 1 1",
+                  "phases_rad": "0 0 0 0"},
+        "spectrum": {"signal_mode": "real", "stft_window": "4096", "stft_hop": "2048"},
+    },
+    "recovery-sweep": {
+        "grid": {"t_atom_s": "1e-10", "n_points": _N_POINTS},
+        "clock": {**_CHIRP_200MHZ, "period_s": ("1e-4", "2.62144e-5")},
+        "sweep": {"sparsity": "3:60:3", "snr_db": "20 10 0", "trials": "50", "tol_bins": "1",
+                  "min_separation_bins": "2.5", "amplitude": "1.0"},
+    },
+    "zone-id": {
+        "grid": {"t_atom_s": "1e-10", "n_points": "100000"},
+        "clock": {**_CHIRP_200MHZ, "period_s": "1e-5"},
+        "zones": {"n_zones": "20", "trials": "50", "noise_sigma2": "25.0",
+                  "k_values": "100 150 200 250 300 400 500 600 800 1000 1200 1400 1600 1800 2000",
+                  "k_max": "20"},
+    },
+    # the clock's f_dev comes from [sweep] f_dev_hz, one schedule per value
+    "deviation-sweep": {
+        "grid": {"t_atom_s": "1e-11", "n_points": _N_POINTS},
+        "clock": {"f_s1_hz": "2e9", "modulation": "sine", "period_s": ("5e-6", "1.31072e-6")},
+        "sweep": {"f_dev_hz": "0 1e7 1e8", "sparsity": ("400:4000:400", "200:2000:200"),
+                  "trials": "100"},
+    },
+}
 
 
 def default_config(experiment: str, scale: str) -> dict[str, dict[str, str]]:
-    if experiment not in EXPERIMENTS:
+    if experiment not in PRESETS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     if scale not in SCALES:
         raise ConfigError(f"unknown scale {scale!r}")
-    desk = scale == "desk"
-    if experiment == "strip-table":
-        return {
-            "run": {"seed": "1234567"},
-            "strip": {
-                "n_bins": "1000000",
-                "k_measurements": "20000",
-                "delta": _SQRT2_M1,
-                "tolerances": "0.1 0.05 0.01 0.005",
-            },
+    pick = SCALES.index(scale)
+    config = {"run": {"seed": "1234567"}}
+    for section, keys in PRESETS[experiment].items():
+        config[section] = {
+            key: value if isinstance(value, str) else value[pick]
+            for key, value in keys.items()
         }
-    if experiment == "mod-constant":
-        # desk scale keeps the same clock but a 10x shorter window
-        n_points = "100000" if desk else "1000000"
-        period = "1e-5" if desk else "1e-4"
-        return {
-            "run": {"seed": "1234567"},
-            "grid": {"t_atom_s": "1e-10", "n_points": n_points},
-            "clock": {
-                "f_s1_hz": "2e8",
-                "modulation": "chirp",
-                "f_dev_hz": "1e7",
-                "period_s": period,
-            },
-            "estimate": {"k_max": "20", "sparsity_for_bound": "3"},
-        }
-    if experiment == "spectrum":
-        n_points = "262144" if desk else "1000000"
-        period = "2.62144e-6" if desk else "1e-5"
-        return {
-            "run": {"seed": "1234567"},
-            "grid": {"t_atom_s": "1e-11", "n_points": n_points},
-            "clock": {
-                "f_s1_hz": "2e9",
-                "modulation": "chirp",
-                "f_dev_hz": "1e8",
-                "period_s": period,
-            },
-            "tones": {
-                "frequencies_hz": "5e8 2.5e9 4.5e9 6.5e9",
-                "amplitudes": "1 1 1 1",
-                "phases_rad": "0 0 0 0",
-            },
-            "spectrum": {
-                "signal_mode": "real",
-                "stft_window": "4096",
-                "stft_hop": "2048",
-            },
-        }
-    if experiment == "recovery-sweep":
-        n_points = "262144" if desk else "1000000"
-        period = "2.62144e-5" if desk else "1e-4"
-        return {
-            "run": {"seed": "1234567"},
-            "grid": {"t_atom_s": "1e-10", "n_points": n_points},
-            "clock": {
-                "f_s1_hz": "2e8",
-                "modulation": "chirp",
-                "f_dev_hz": "1e7",
-                "period_s": period,
-            },
-            "sweep": {
-                "sparsity": "3:60:3",
-                "snr_db": "20 10 0",
-                "trials": "50",
-                "tol_bins": "1",
-                "min_separation_bins": "2.5",
-                "amplitude": "1.0",
-            },
-        }
-    if experiment == "zone-id":
-        return {
-            "run": {"seed": "1234567"},
-            "grid": {"t_atom_s": "1e-10", "n_points": "100000"},
-            "clock": {
-                "f_s1_hz": "2e8",
-                "modulation": "chirp",
-                "f_dev_hz": "1e7",
-                "period_s": "1e-5",
-            },
-            "zones": {
-                "n_zones": "20",
-                "trials": "50",
-                "noise_sigma2": "25.0",
-                "k_values": "100 150 200 250 300 400 500 600 800 1000 1200 1400 1600 1800 2000",
-                "k_max": "20",
-            },
-        }
-    # deviation-sweep
-    n_points = "262144" if desk else "1000000"
-    period = "1.31072e-6" if desk else "5e-6"
-    sparsity = "200:2000:200" if desk else "400:4000:400"
-    return {
-        "run": {"seed": "1234567"},
-        "grid": {"t_atom_s": "1e-11", "n_points": n_points},
-        "clock": {
-            "f_s1_hz": "2e9",
-            "modulation": "sine",
-            "f_dev_hz": "unused",  # swept below
-            "period_s": period,
-        },
-        "sweep": {
-            "f_dev_hz": "0 1e7 1e8",
-            "sparsity": sparsity,
-            "trials": "100",
-        },
-    }
+    return config
 
 
 def resolve_config(
@@ -298,36 +238,30 @@ def _get(config, section, key) -> str:
         raise ConfigError(f"missing config value [{section}] {key}") from exc
 
 
-def _float(config, section, key) -> float:
+def _parse(config, section, key, convert, kind: str):
     raw = _get(config, section, key)
     try:
-        return float(raw)
+        return convert(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind}") from exc
+
+
+def _float(config, section, key) -> float:
+    return _parse(config, section, key, float, "a number")
 
 
 def _int(config, section, key) -> int:
-    raw = _get(config, section, key)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+    return _parse(config, section, key, int, "an integer")
 
 
 def _floats(config, section, key) -> list[float]:
-    raw = _get(config, section, key)
-    try:
-        return [float(tok) for tok in raw.split()]
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number list") from exc
+    return _parse(config, section, key, lambda raw: [float(tok) for tok in raw.split()],
+                  "a number list")
 
 
 def _ints(config, section, key) -> list[int]:
-    raw = _get(config, section, key)
-    try:
-        return [int(tok) for tok in raw.split()]
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer list") from exc
+    return _parse(config, section, key, lambda raw: [int(tok) for tok in raw.split()],
+                  "an integer list")
 
 
 def _int_range(config, section, key) -> list[int]:
@@ -373,10 +307,9 @@ def _build_clock(config, f_dev_override: Optional[float] = None) -> ClockConfig:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# experiment bodies: (config, seed) -> (records, notes[, extra tables])
 
-def run_strip_table(config, seed: int, scale: str) -> ResultManifest:
-    t0 = time.perf_counter()
+def _strip_table(config, seed: int):
     n = _int(config, "strip", "n_bins")
     k = _int(config, "strip", "k_measurements")
     delta = _float(config, "strip", "delta")
@@ -392,21 +325,10 @@ def run_strip_table(config, seed: int, scale: str) -> ResultManifest:
                 "bound_at_doubled_support": bound,
             }
         )
-    manifest = ResultManifest(
-        experiment="strip-table",
-        scale=scale,
-        seed=seed,
-        config=config,
-        fieldnames=["tolerance", "max_sparsity", "bound_at_doubled_support"],
-        records=records,
-        notes={"delta": repr(delta), "n_bins": str(n), "k_measurements": str(k)},
-    )
-    manifest.wall_clock_s = time.perf_counter() - t0
-    return manifest
+    return records, {"delta": repr(delta), "n_bins": str(n), "k_measurements": str(k)}
 
 
-def run_mod_constant(config, seed: int, scale: str) -> ResultManifest:
-    t0 = time.perf_counter()
+def _mod_constant(config, seed: int):
     grid = _build_grid(config)
     clock = _build_clock(config)
     k_max = _int(config, "estimate", "k_max")
@@ -427,21 +349,10 @@ def run_mod_constant(config, seed: int, scale: str) -> ResultManifest:
         "guaranteed_sparsity_convex": str(guaranteed_sparsity_convex(delta2)),
         "band_definition": constant.band_definition,
     }
-    manifest = ResultManifest(
-        experiment="mod-constant",
-        scale=scale,
-        seed=seed,
-        config=config,
-        fieldnames=["k", "c_k"],
-        records=records,
-        notes=notes,
-    )
-    manifest.wall_clock_s = time.perf_counter() - t0
-    return manifest
+    return records, notes
 
 
-def run_spectrum(config, seed: int, scale: str) -> ResultManifest:
-    t0 = time.perf_counter()
+def _spectrum(config, seed: int):
     grid = _build_grid(config)
     clock = _build_clock(config)
     freqs = _floats(config, "tones", "frequencies_hz")
@@ -473,20 +384,8 @@ def run_spectrum(config, seed: int, scale: str) -> ResultManifest:
             f"f_c={tone.frequency:g} f_if={fold.f_if:g} m={fold.m_index} "
             f"zone={fold.nyquist_zone} width={abs(fold.m_index) * clock.f_dev:g}"
         )
-    manifest = ResultManifest(
-        experiment="spectrum",
-        scale=scale,
-        seed=seed,
-        config=config,
-        fieldnames=["frequency_hz", "magnitude"],
-        records=records,
-        notes=notes,
-    )
-    manifest.extra_tables = {
-        "spectrogram.csv": _spectrogram_table(signal, schedule, grid, clock, config)
-    }
-    manifest.wall_clock_s = time.perf_counter() - t0
-    return manifest
+    spectrogram = _spectrogram_table(signal, schedule, grid, clock, config)
+    return records, notes, {"spectrogram.csv": spectrogram}
 
 
 def _spectrogram_table(signal, schedule, grid, clock, config) -> list[list[str]]:
@@ -528,8 +427,7 @@ def _draw_tones(rng, sparsity, f_res, band, min_sep_bins, amplitude) -> list[Ton
     return [ToneSpec(f, amplitude, rng.uniform(0.0, 2.0 * math.pi)) for f in freqs]
 
 
-def run_recovery_sweep(config, seed: int, scale: str) -> ResultManifest:
-    t0 = time.perf_counter()
+def _recovery_sweep(config, seed: int):
     grid = _build_grid(config)
     clock = _build_clock(config)
     sparsities = _int_range(config, "sweep", "sparsity")
@@ -574,31 +472,14 @@ def run_recovery_sweep(config, seed: int, scale: str) -> ResultManifest:
                     "standard_error": math.sqrt(fraction * (1.0 - fraction) / trials),
                 }
             )
-    manifest = ResultManifest(
-        experiment="recovery-sweep",
-        scale=scale,
-        seed=seed,
-        config=config,
-        fieldnames=[
-            "sparsity",
-            "snr_db",
-            "trials",
-            "failures",
-            "failure_fraction",
-            "standard_error",
-        ],
-        records=records,
-        notes={
-            "k_samples": str(schedule.size),
-            "snr_reference": "mean power of the sampled multitone signal",
-        },
-    )
-    manifest.wall_clock_s = time.perf_counter() - t0
-    return manifest
+    notes = {
+        "k_samples": str(schedule.size),
+        "snr_reference": "mean power of the sampled multitone signal",
+    }
+    return records, notes
 
 
-def run_zone_id(config, seed: int, scale: str) -> ResultManifest:
-    t0 = time.perf_counter()
+def _zone_id(config, seed: int):
     grid = _build_grid(config)
     clock = _build_clock(config)
     if not isinstance(clock.modulation, LinearChirp):
@@ -663,33 +544,17 @@ def run_zone_id(config, seed: int, scale: str) -> ResultManifest:
             mid["crb_probability"] - mid["theorem_lower_bound"]
         ),
     }
-    manifest = ResultManifest(
-        experiment="zone-id",
-        scale=scale,
-        seed=seed,
-        config=config,
-        fieldnames=[
-            "k_samples",
-            "theorem_lower_bound",
-            "crb_probability",
-            "empirical_probability",
-            "successes",
-            "trials",
-            "standard_error",
-        ],
-        records=records,
-        notes=notes,
-    )
-    manifest.wall_clock_s = time.perf_counter() - t0
-    return manifest
+    return records, notes
 
 
-def run_deviation_sweep(config, seed: int, scale: str) -> ResultManifest:
-    t0 = time.perf_counter()
+def _deviation_sweep(config, seed: int):
     grid = _build_grid(config)
     f_devs = _floats(config, "sweep", "f_dev_hz")
     sparsities = _int_range(config, "sweep", "sparsity")
     trials = _int(config, "sweep", "trials")
+    if len(set(sparsities)) < 2:
+        raise ConfigError("[sweep] sparsity needs two or more distinct values "
+                          "to fit the deviation slope")
 
     records = []
     notes: dict[str, str] = {}
@@ -718,24 +583,7 @@ def run_deviation_sweep(config, seed: int, scale: str) -> ResultManifest:
         notes[f"{label}_intercept"] = repr(intercept)
         notes[f"{label}_r_squared"] = repr(r2)
         notes[f"{label}_k_samples"] = str(schedule.size)
-    manifest = ResultManifest(
-        experiment="deviation-sweep",
-        scale=scale,
-        seed=seed,
-        config=config,
-        fieldnames=[
-            "f_dev_hz",
-            "sparsity",
-            "trials",
-            "max_deviation",
-            "p95_deviation",
-            "mean_deviation",
-        ],
-        records=records,
-        notes=notes,
-    )
-    manifest.wall_clock_s = time.perf_counter() - t0
-    return manifest
+    return records, notes
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -747,82 +595,128 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-RUNNERS: dict[str, Callable] = {
-    "strip-table": run_strip_table,
-    "mod-constant": run_mod_constant,
-    "spectrum": run_spectrum,
-    "recovery-sweep": run_recovery_sweep,
-    "zone-id": run_zone_id,
-    "deviation-sweep": run_deviation_sweep,
+# ---------------------------------------------------------------------------
+# experiment specs
+
+
+@dataclass(frozen=True)
+class Plot:
+    """One SVG line plot of the result records against column ``x``.
+
+    ``series`` holds ``(label, y column)`` pairs. With ``group`` set, the
+    records split into one line per distinct value of that column, ordered by
+    value (``descending`` reverses it) and labelled ``label.format(value)``.
+    """
+
+    title: str
+    x: str
+    xlabel: str
+    ylabel: str
+    series: tuple[tuple[str, str], ...]
+    group: Optional[str] = None
+    descending: bool = False
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: ``body(config, seed)`` returns ``(records, notes)`` or
+    ``(records, notes, extra_tables)``; ``fieldnames`` are the CSV columns."""
+
+    body: Callable
+    fieldnames: tuple[str, ...]
+    plot: Plot
+
+
+SPECS: dict[str, Experiment] = {
+    "strip-table": Experiment(
+        _strip_table,
+        ("tolerance", "max_sparsity", "bound_at_doubled_support"),
+        Plot("Recoverable sparsity vs failure tolerance", "tolerance",
+             "failure tolerance", "max sparsity", (("max sparsity", "max_sparsity"),)),
+    ),
+    "mod-constant": Experiment(
+        _mod_constant,
+        ("k", "c_k"),
+        Plot("Modulation constant per harmonic scaling", "k", "k", "C_k",
+             (("C_k", "c_k"),)),
+    ),
+    "spectrum": Experiment(
+        _spectrum,
+        ("frequency_hz", "magnitude"),
+        Plot("Folded magnitude spectrum", "frequency_hz", "frequency (Hz)", "magnitude",
+             (("magnitude", "magnitude"),)),
+    ),
+    "recovery-sweep": Experiment(
+        _recovery_sweep,
+        ("sparsity", "snr_db", "trials", "failures", "failure_fraction", "standard_error"),
+        Plot("Recovery failure vs sparsity", "sparsity", "tones", "failure fraction",
+             (("{:g} dB", "failure_fraction"),), group="snr_db", descending=True),
+    ),
+    "zone-id": Experiment(
+        _zone_id,
+        ("k_samples", "theorem_lower_bound", "crb_probability", "empirical_probability",
+         "successes", "trials", "standard_error"),
+        Plot("Zone identification probability vs sample count", "k_samples", "samples",
+             "probability",
+             (("CRB ceiling", "crb_probability"),
+              ("empirical", "empirical_probability"),
+              ("detection bound", "theorem_lower_bound"))),
+    ),
+    "deviation-sweep": Experiment(
+        _deviation_sweep,
+        ("f_dev_hz", "sparsity", "trials", "max_deviation", "p95_deviation",
+         "mean_deviation"),
+        Plot("Max isometry deviation vs sparsity", "sparsity", "tones", "max deviation",
+             (("f_dev {:g}", "max_deviation"),), group="f_dev_hz"),
+    ),
 }
+EXPERIMENTS = tuple(SPECS)
+
+
+def _run(experiment: str, config, seed: int, scale: str) -> ResultManifest:
+    """Run one experiment's body on the wall clock and wrap it in a manifest."""
+    spec = SPECS[experiment]
+    t0 = time.perf_counter()
+    records, notes, *extra = spec.body(config, seed)
+    return ResultManifest(
+        experiment=experiment,
+        scale=scale,
+        seed=seed,
+        config=config,
+        fieldnames=list(spec.fieldnames),
+        records=records,
+        notes=notes,
+        extra_tables=extra[0] if extra else {},
+        wall_clock_s=time.perf_counter() - t0,
+    )
+
+
+RUNNERS: dict[str, Callable] = {name: functools.partial(_run, name) for name in SPECS}
+run_strip_table = RUNNERS["strip-table"]
+run_mod_constant = RUNNERS["mod-constant"]
+run_spectrum = RUNNERS["spectrum"]
+run_recovery_sweep = RUNNERS["recovery-sweep"]
+run_zone_id = RUNNERS["zone-id"]
+run_deviation_sweep = RUNNERS["deviation-sweep"]
 
 
 def write_plots(manifest: ResultManifest, out_dir: Path) -> list[Path]:
-    """Render SVG line plots from the result records."""
-    paths = []
+    """Render the experiment's SVG line plot from the result records."""
+    plot = SPECS[manifest.experiment].plot
     records = manifest.records
-    name = manifest.experiment
-
-    def col(key, rows=None):
-        return [float(r[key]) for r in (rows if rows is not None else records)]
-
-    path = out_dir / f"plot_{name.replace('-', '_')}.svg"
-    if name == "strip-table":
-        line_plot(
-            path,
-            [("max sparsity", col("tolerance"), col("max_sparsity"))],
-            "Recoverable sparsity vs failure tolerance",
-            "failure tolerance",
-            "max sparsity",
-        )
-    elif name == "mod-constant":
-        line_plot(
-            path,
-            [("C_k", col("k"), col("c_k"))],
-            "Modulation constant per harmonic scaling",
-            "k",
-            "C_k",
-        )
-    elif name == "spectrum":
-        line_plot(
-            path,
-            [("magnitude", col("frequency_hz"), col("magnitude"))],
-            "Folded magnitude spectrum",
-            "frequency (Hz)",
-            "magnitude",
-        )
-    elif name == "recovery-sweep":
-        series = []
-        for snr in sorted({r["snr_db"] for r in records}, reverse=True):
-            rows = [r for r in records if r["snr_db"] == snr]
-            series.append(
-                (f"{snr:g} dB", col("sparsity", rows), col("failure_fraction", rows))
-            )
-        line_plot(path, series, "Recovery failure vs sparsity", "tones", "failure fraction")
-    elif name == "zone-id":
-        line_plot(
-            path,
-            [
-                ("CRB ceiling", col("k_samples"), col("crb_probability")),
-                ("empirical", col("k_samples"), col("empirical_probability")),
-                ("detection bound", col("k_samples"), col("theorem_lower_bound")),
-            ],
-            "Zone identification probability vs sample count",
-            "samples",
-            "probability",
-        )
-    elif name == "deviation-sweep":
-        series = []
-        for f_dev in sorted({r["f_dev_hz"] for r in records}):
-            rows = [r for r in records if r["f_dev_hz"] == f_dev]
-            series.append(
-                (f"f_dev {f_dev:g}", col("sparsity", rows), col("max_deviation", rows))
-            )
-        line_plot(path, series, "Max isometry deviation vs sparsity", "tones", "max deviation")
+    if plot.group is None:
+        groups = [(None, records)]
     else:
-        return paths
-    paths.append(path)
-    return paths
+        values = sorted({r[plot.group] for r in records}, reverse=plot.descending)
+        groups = [(v, [r for r in records if r[plot.group] == v]) for v in values]
+    series = [
+        (label.format(value), [float(r[plot.x]) for r in rows], [float(r[y]) for r in rows])
+        for value, rows in groups
+        for label, y in plot.series
+    ]
+    path = out_dir / f"plot_{manifest.experiment.replace('-', '_')}.svg"
+    line_plot(path, series, plot.title, plot.xlabel, plot.ylabel)
+    return [path]
 
 
 def write_outputs(manifest: ResultManifest, out_dir, plots: bool = False) -> list[Path]:

@@ -73,7 +73,20 @@ class ToneSpec:
 
 
 @dataclass(frozen=True)
-class LinearChirp:
+class _PhaseLaw:
+    """Periodic clock phase modulation with deviation span f_dev (Hz)."""
+
+    f_dev: float
+    period: float
+
+    def __post_init__(self) -> None:
+        if self.f_dev < 0.0:
+            raise ValueError("f_dev must be non-negative")
+        if self.period <= 0.0:
+            raise ValueError("period must be positive")
+
+
+class LinearChirp(_PhaseLaw):
     """Sawtooth frequency sweep: the instantaneous clock rate climbs linearly
     from f_s1 to f_s1 + f_dev over each period, then snaps back.
 
@@ -82,32 +95,29 @@ class LinearChirp:
     idealized resweep resets it.
     """
 
-    f_dev: float
-    period: float
+    def phase(self, t):
+        tau = np.mod(t, self.period)
+        return math.pi * (self.f_dev / self.period) * tau * tau
 
-    def __post_init__(self) -> None:
-        if self.f_dev < 0.0:
-            raise ValueError("f_dev must be non-negative")
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
+    def rate(self, t):
+        tau = np.mod(t, self.period)
+        return TWO_PI * (self.f_dev / self.period) * tau
 
 
-@dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_PhaseLaw):
     """Sinusoidal frequency modulation with total deviation span f_dev.
 
     Phase law ``theta(t) = (f_dev / (2 f_m)) * sin(2 pi f_m t)`` with
     ``f_m = 1 / period``, so the instantaneous rate swings f_s1 +/- f_dev / 2.
     """
 
-    f_dev: float
-    period: float
+    def phase(self, t):
+        f_m = 1.0 / self.period
+        return (self.f_dev / (2.0 * f_m)) * np.sin(TWO_PI * f_m * t)
 
-    def __post_init__(self) -> None:
-        if self.f_dev < 0.0:
-            raise ValueError("f_dev must be non-negative")
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
+    def rate(self, t):
+        f_m = 1.0 / self.period
+        return math.pi * self.f_dev * np.cos(TWO_PI * f_m * t)
 
 
 Modulation = Union[None, LinearChirp, Sinusoid]
@@ -138,12 +148,7 @@ def theta_eval(modulation: Modulation, t):
     """
     if modulation is None:
         return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
-    if isinstance(modulation, LinearChirp):
-        tau = np.mod(t, modulation.period)
-        out = math.pi * (modulation.f_dev / modulation.period) * tau * tau
-    else:
-        f_m = 1.0 / modulation.period
-        out = (modulation.f_dev / (2.0 * f_m)) * np.sin(TWO_PI * f_m * t)
+    out = modulation.phase(t)
     return out if isinstance(t, np.ndarray) else float(out)
 
 
@@ -151,12 +156,7 @@ def theta_rate(modulation: Modulation, t):
     """Evaluate the analytic derivative theta'(t) in rad/s."""
     if modulation is None:
         return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
-    if isinstance(modulation, LinearChirp):
-        tau = np.mod(t, modulation.period)
-        out = TWO_PI * (modulation.f_dev / modulation.period) * tau
-    else:
-        f_m = 1.0 / modulation.period
-        out = math.pi * modulation.f_dev * np.cos(TWO_PI * f_m * t)
+    out = modulation.rate(t)
     return out if isinstance(t, np.ndarray) else float(out)
 
 

@@ -15,6 +15,7 @@ from nyfold import cli, crb, omp, signal_clock, svgplot
 from nyfold.experiments import (
     EXPERIMENTS,
     SCALES,
+    SPECS,
     ConfigError,
     ResultManifest,
     _int_range,
@@ -236,6 +237,45 @@ class TestZoneIdRunner:
         assert noised == [(100,), (100,), (400,), (400,)]
 
 
+# Small configs whose seed-11 results.csv is pinned in tests/golden/<name>_small.csv.
+# strip-table and mod-constant run their desk presets as they are.
+TINY_OVERRIDES = {
+    "strip-table": {},
+    "mod-constant": {},
+    "spectrum": {
+        "grid": {"n_points": "16384"},
+        "clock": {"period_s": "1.6384e-7"},
+        "spectrum": {"stft_window": "1024", "stft_hop": "1024"},
+    },
+    "recovery-sweep": TestRecoverySweepRunner.OVERRIDES,
+    "zone-id": TestZoneIdRunner.OVERRIDES,
+    "deviation-sweep": {
+        "grid": {"n_points": "16384"},
+        "sweep": {"sparsity": "200:600:200", "trials": "3"},
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_cli_run_matches_golden_and_plots(experiment, tmp_path):
+    """Every experiment runs from the CLI, writes its golden CSVs and one plot."""
+    ini = tmp_path / "tiny.ini"
+    write_sections(ini, TINY_OVERRIDES[experiment])
+    out = tmp_path / "out"
+    argv = [experiment, "--config", str(ini), "--seed", "11", "--out", str(out), "--plots"]
+    assert cli.main(argv) == 0
+    results = (out / "results.csv").read_bytes()
+    assert results.split(b"\n", 1)[0].decode() == ",".join(SPECS[experiment].fieldnames)
+    stem = experiment.replace("-", "_")
+    assert results == (GOLDEN / f"{stem}_small.csv").read_bytes()
+    if experiment == "spectrum":
+        golden = GOLDEN / "spectrum_small_spectrogram.csv"
+        assert (out / "spectrogram.csv").read_bytes() == golden.read_bytes()
+    svgs = sorted(out.glob("*.svg"))
+    assert [svg.name for svg in svgs] == [f"plot_{stem}.svg"]
+    assert ET.fromstring(svgs[0].read_text(encoding="utf-8")).tag.endswith("svg")
+
+
 class TestCli:
     def test_strip_table_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -295,6 +335,36 @@ class TestCli:
         )
         assert code == 3
         assert "measurement row 0 is not finite" in capsys.readouterr().err
+
+    def test_deviation_sweep_rejects_clock_f_dev(self, tmp_path, capsys):
+        """The sweep sets f_dev per schedule, so a [clock] f_dev_hz is an unknown key."""
+        ini = tmp_path / "f_dev.ini"
+        ini.write_text("[clock]\nf_dev_hz = 5e7\n", encoding="utf-8")
+        code = cli.main(
+            ["deviation-sweep", "--config", str(ini), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "unknown key 'f_dev_hz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sparsity", ["200", "200 200"])
+    def test_deviation_sweep_needs_two_sparsities(self, tmp_path, capsys, sparsity):
+        ini = tmp_path / "one.ini"
+        ini.write_text(
+            f"[grid]\nn_points = 16384\n[sweep]\nsparsity = {sparsity}\ntrials = 3\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        code = cli.main(["deviation-sweep", "--config", str(ini), "--out", str(out)])
+        assert code == 2
+        assert "two or more distinct values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        code = cli.main(["strip-table", "--out", str(blocker / "sub")])
+        assert code == 2
+        assert "nyfold: cannot write outputs:" in capsys.readouterr().err
 
     def test_zone_id_subprocess_exit_codes(self, tmp_path):
         src = str(Path(nyfold.__file__).resolve().parent.parent)

@@ -150,6 +150,15 @@ class TestModulatedSpectra:
         assert cached is rip._grid_theta(clock.modulation, grid)
         assert not cached.flags.writeable
 
+    def test_cached_theta_key_is_the_law_and_its_parameters(self, setup):
+        grid, clock = setup
+        law = clock.modulation
+        cached = rip._grid_theta(law, grid)
+        assert rip._grid_theta(LinearChirp(law.f_dev, law.period), grid) is cached
+        other = rip._grid_theta(Sinusoid(law.f_dev, law.period), grid)
+        assert other is not cached
+        assert not np.array_equal(other, cached)
+
     def test_rejects_order_beyond_grid(self, setup):
         grid, clock = setup
         with pytest.raises(ValueError):
