@@ -254,14 +254,19 @@ def _int(config, section, key) -> int:
     return _parse(config, section, key, int, "an integer")
 
 
+def _list(config, section, key, convert, kind: str) -> list:
+    values = _parse(config, section, key, lambda raw: [convert(tok) for tok in raw.split()], kind)
+    if not values:
+        raise ConfigError(f"[{section}] {key} is an empty list")
+    return values
+
+
 def _floats(config, section, key) -> list[float]:
-    return _parse(config, section, key, lambda raw: [float(tok) for tok in raw.split()],
-                  "a number list")
+    return _list(config, section, key, float, "a number list")
 
 
 def _ints(config, section, key) -> list[int]:
-    return _parse(config, section, key, lambda raw: [int(tok) for tok in raw.split()],
-                  "an integer list")
+    return _list(config, section, key, int, "an integer list")
 
 
 def _int_range(config, section, key) -> list[int]:

@@ -4,8 +4,8 @@ The measurement model is ``y = Phi x_hat`` where ``x_hat`` is the length-N
 unitary-DFT spectrum of the signal and ``Phi`` keeps the K inverse-transform
 rows indexed by the sample schedule. Column j of ``Phi`` is the unit-norm atom
 ``a_j[m] = exp(2 pi i k_m j / N) / sqrt(K)`` with ``k_m`` the m-th schedule
-index. Small supports are handled by direct summation, large ones through the
-FFT; the two paths agree to machine precision.
+index. ``Phi* Phi`` is circulant: Gram entry ``<a_i, a_j>`` is ``p[(j - i) mod N]``,
+read from the schedule's point-spread function ``p``, one FFT of the sample mask.
 
 The adjoint follows the plain ``A^H @ Y`` convention: a ``(K,)`` measurement
 vector gives an ``(N,)`` correlation, and a ``(K, B)`` stack of B measurement
@@ -16,8 +16,9 @@ bitwise equal to transforming that column on its own.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ import scipy.fft
 from .signal_clock import SampleSchedule, TimeGrid
 
 _GRAM_SUPPORT_LIMIT = 64
-_DENSE_MATRIX_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,16 @@ class DeviationReport:
 
     sparsity: int
     deviations: np.ndarray
-    max_deviation: float
 
     def __post_init__(self) -> None:
         deviations = np.asarray(self.deviations, dtype=float)
         object.__setattr__(self, "deviations", deviations)
         if len(deviations) == 0:
             raise ValueError("report needs at least one trial")
-        if not math.isclose(self.max_deviation, float(deviations.max()), rel_tol=1e-12):
-            raise ValueError("max_deviation does not match the trial list")
+
+    @property
+    def max_deviation(self) -> float:
+        return float(self.deviations.max())
 
     def percentile(self, q: float) -> float:
         return float(np.percentile(self.deviations, q))
@@ -101,10 +102,12 @@ class SensingOperator:
     def k_measurements(self) -> int:
         return self.schedule.size
 
-    def _use_direct(self, sparsity: int) -> bool:
-        # complex exponentials cost roughly 8x an FFT butterfly per element
-        n = self.n_bins
-        return 8 * sparsity * self.k_measurements < n * math.log2(n)
+    @functools.cached_property
+    def point_spread(self) -> np.ndarray:
+        """``p[d] = (1/K) sum_m exp(2 pi i k_m d / N)``, taken on first use."""
+        mask = np.zeros(self.n_bins)
+        mask[self.schedule.indices] = 1.0
+        return scipy.fft.ifft(mask, norm="forward") / self.k_measurements
 
     def atoms(self, bins: Sequence[int]) -> np.ndarray:
         """Materialize unit-norm columns for the given bins (K x len(bins))."""
@@ -119,23 +122,18 @@ class SensingOperator:
 
     def forward(self, x) -> np.ndarray:
         """Apply Phi. Accepts a SparseSpectrum or a dense length-N vector."""
-        if isinstance(x, SparseSpectrum):
-            if x.bins[-1] >= self.n_bins:
-                raise ValueError("spectrum bins exceed the operator size")
+        if isinstance(x, SparseSpectrum):  # to_dense refuses bins beyond N
             if not np.isfinite(x.coefficients).all():
                 raise ValueError("spectrum coefficients must be finite")
-            if self._use_direct(x.sparsity):
-                return self.atoms(x.bins) @ x.coefficients
-            return self._forward_dense(x.to_dense(self.n_bins))
-        x = np.asarray(x)
-        if x.shape != (self.n_bins,):
-            raise ValueError("dense input must have length N")
-        if not np.isfinite(x).all():
-            raise ValueError("dense input must be finite")
-        return self._forward_dense(x.astype(complex, copy=False))
-
-    def _forward_dense(self, dense: np.ndarray) -> np.ndarray:
-        full = np.fft.ifft(dense) * (self.n_bins / math.sqrt(self.k_measurements))
+            x = x.to_dense(self.n_bins)
+        else:
+            x = np.asarray(x)
+            if x.shape != (self.n_bins,):
+                raise ValueError("dense input must have length N")
+            if not np.isfinite(x).all():
+                raise ValueError("dense input must be finite")
+            x = x.astype(complex, copy=False)
+        full = np.fft.ifft(x) * (self.n_bins / math.sqrt(self.k_measurements))
         return full[self.schedule.indices]
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -157,23 +155,16 @@ class SensingOperator:
         rows *= 1.0 / math.sqrt(self.k_measurements)
         return rows.T if y.ndim == 2 else rows[0]
 
-    def adjoint_restricted(self, y: np.ndarray, bins: Sequence[int]) -> np.ndarray:
-        """Adjoint evaluated only on the given bins, by direct summation."""
-        y = np.asarray(y)
-        if y.shape != (self.k_measurements,):
-            raise ValueError("measurement vector must have length K")
-        return self.atoms(bins).conj().T @ y
-
     def gram_matrix(self, support: Sequence[int]) -> np.ndarray:
-        """Hermitian Gram of the restricted columns, by direct summation."""
+        """Restricted Gram ``G[i, j] = p[(b_j - b_i) mod N]``; ``p[-d] == conj(p[d])`` bitwise."""
         support = np.asarray(support, dtype=np.int64)
         if len(support) == 0:
             raise ValueError("support is empty")
         if len(np.unique(support)) != len(support):
             raise ValueError("support bins must be distinct")
-        a = self.atoms(support)
-        g = a.conj().T @ a
-        return 0.5 * (g + g.conj().T)
+        if support.min() < 0 or support.max() >= self.n_bins:
+            raise ValueError("bin out of range")
+        return self.point_spread[(support[None, :] - support[:, None]) % self.n_bins]
 
     def gram_eigen_bounds(self, support: Sequence[int]) -> tuple[float, float, float]:
         """(lambda_min, lambda_max, deviation) of the restricted Gram.
@@ -182,7 +173,6 @@ class SensingOperator:
         symmetric isometry constant for this support. Supports above
         64 bins are refused; use empirical_rip for large-support statistics.
         """
-        support = np.asarray(support, dtype=np.int64)
         if len(support) > _GRAM_SUPPORT_LIMIT:
             raise ValueError(
                 f"eigen bounds limited to supports of {_GRAM_SUPPORT_LIMIT} bins"
@@ -194,23 +184,17 @@ class SensingOperator:
     def spectral_norm_deviation(self, spectrum: SparseSpectrum) -> float:
         """Signal-specific isometry deviation | ||Phi*_S Phi x|| / ||x|| - 1 |.
 
-        Phi*_S is the adjoint restricted to the support of ``spectrum``.
+        Phi*_S is the adjoint restricted to the support S of ``spectrum``. While
+        S^2 <= N, gathering the S^2 Gram entries beats two length-N FFTs.
         """
         x_norm = float(np.linalg.norm(spectrum.coefficients))
-        if x_norm == 0.0:
-            raise ValueError("spectrum has zero norm")
-        y = self.forward(spectrum)
-        if self._use_direct(spectrum.sparsity):
-            c = self.adjoint_restricted(y, spectrum.bins)
+        if not 0.0 < x_norm < math.inf:
+            raise ValueError("spectrum norm must be finite and nonzero")
+        if spectrum.sparsity ** 2 <= self.n_bins:
+            c = self.gram_matrix(spectrum.bins) @ spectrum.coefficients
         else:
-            c = self.adjoint(y)[spectrum.bins]
+            c = self.adjoint(self.forward(spectrum))[spectrum.bins]
         return abs(float(np.linalg.norm(c)) / x_norm - 1.0)
-
-    def dense_matrix(self) -> np.ndarray:
-        """Materialize Phi in full. Guarded to small test grids."""
-        if self.n_bins > _DENSE_MATRIX_LIMIT:
-            raise ValueError("dense matrix only available for small grids")
-        return self.atoms(np.arange(self.n_bins))
 
 
 def empirical_rip(
@@ -235,6 +219,4 @@ def empirical_rip(
             rng.standard_normal(sparsity) + 1j * rng.standard_normal(sparsity)
         ) / math.sqrt(2.0)
         deviations[t] = op.spectral_norm_deviation(SparseSpectrum(bins, coeff))
-    return DeviationReport(
-        sparsity=sparsity, deviations=deviations, max_deviation=float(deviations.max())
-    )
+    return DeviationReport(sparsity=sparsity, deviations=deviations)

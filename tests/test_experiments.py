@@ -30,6 +30,7 @@ from nyfold.experiments import (
     write_sections,
 )
 from nyfold.rip import max_recoverable_sparsity, strip_failure_probability
+from nyfold.sensing import SensingOperator
 
 
 class TestConfig:
@@ -274,6 +275,37 @@ def test_cli_run_matches_golden_and_plots(experiment, tmp_path):
     svgs = sorted(out.glob("*.svg"))
     assert [svg.name for svg in svgs] == [f"plot_{stem}.svg"]
     assert ET.fromstring(svgs[0].read_text(encoding="utf-8")).tag.endswith("svg")
+
+
+@pytest.mark.parametrize("experiment", ["recovery-sweep", "zone-id"])
+def test_benchmarked_runs_compute_no_point_spread(experiment, tmp_path, monkeypatch):
+    """Neither run gathers Gram entries, so neither pays the point-spread FFT."""
+    def no_point_spread(self):
+        raise AssertionError("point_spread computed")
+
+    monkeypatch.setattr(SensingOperator, "point_spread", property(no_point_spread))
+    ini = tmp_path / "tiny.ini"
+    write_sections(ini, TINY_OVERRIDES[experiment])
+    argv = [experiment, "--config", str(ini), "--seed", "11", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "experiment,sections,flags",
+    [
+        ("strip-table", {"strip": {"tolerances": ""}}, ["--plots"]),
+        ("zone-id", {"zones": {"k_values": ""}}, []),
+        ("recovery-sweep", {"sweep": {"snr_db": ""}}, []),
+        ("spectrum", {"tones": {"frequencies_hz": "", "amplitudes": "", "phases_rad": ""}}, []),
+    ],
+)
+def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys):
+    ini = tmp_path / "empty.ini"
+    write_sections(ini, sections)
+    out = tmp_path / "o"
+    assert cli.main([experiment, "--config", str(ini), "--out", str(out), *flags]) == 2
+    assert "is an empty list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCli:

@@ -1,8 +1,8 @@
 """Tests for the row-subsampled Fourier sensing operator.
 
 The oracle throughout is the explicit dense K x N matrix: every fast path
-(FFT synthesis, restricted adjoint, Gram shortcuts) must agree with plain
-matrix arithmetic on grids small enough to build it.
+(FFT synthesis and correlation, the point-spread Gram gather) must agree with
+plain matrix arithmetic on grids small enough to build it.
 """
 
 import math
@@ -51,7 +51,7 @@ def chirped_op():
 
 @pytest.fixture(scope="module")
 def dense(op):
-    return op.dense_matrix()
+    return op.atoms(np.arange(op.n_bins))
 
 
 def random_spectrum(rng, n, s):
@@ -154,20 +154,12 @@ class TestOperatorAlgebra:
             op.forward(x)
 
     def test_forward_rejects_non_finite_sparse(self, op):
-        # 2 bins take the direct path, 200 the FFT path; both are guarded
+        # a 2-bin and a 200-bin spectrum: the guard does not depend on sparsity
         for bins in ([3, 90], np.arange(200)):
             coefficients = np.ones(len(bins), dtype=complex)
             coefficients[1] = np.inf
             with pytest.raises(ValueError, match="finite"):
                 op.forward(SparseSpectrum(bins, coefficients))
-
-    def test_adjoint_restricted_matches_full(self, op):
-        rng = np.random.default_rng(4)
-        y = rng.standard_normal(op.k_measurements) + 1j * rng.standard_normal(
-            op.k_measurements
-        )
-        bins = np.array([0, 17, 100, 255])
-        assert_allclose(op.adjoint_restricted(y, bins), op.adjoint(y)[bins], atol=1e-11)
 
     def test_inner_product_identity(self, op):
         """<Phi x, y> == <x, Phi* y> pins forward/adjoint consistency."""
@@ -238,11 +230,11 @@ class TestGramAndDeviation:
         assert_allclose(hi, eigs[-1], atol=1e-10)
         assert_allclose(dev, max(1 - eigs[0], eigs[-1] - 1), atol=1e-10)
 
-    def test_deviation_matches_gram_oracle(self, op):
+    def test_deviation_matches_gram_oracle(self, op, dense):
         rng = np.random.default_rng(7)
         for s in (2, 5, 9):
             spec = random_spectrum(rng, op.n_bins, s)
-            gram = op.gram_matrix(spec.bins)
+            gram = dense[:, spec.bins].conj().T @ dense[:, spec.bins]
             expected = abs(
                 np.linalg.norm(gram @ spec.coefficients)
                 / np.linalg.norm(spec.coefficients)
@@ -281,6 +273,59 @@ class TestGramAndDeviation:
         with pytest.raises(ValueError):
             op.gram_eigen_bounds(big)
 
+    def test_point_spread_is_the_mask_fft(self):
+        """p = conj(FFT(mask)) / K, taken on first use and then kept."""
+        op = make_operator(modulation=LinearChirp(4.0, 1.0))
+        assert "point_spread" not in vars(op)
+        mask = np.zeros(op.n_bins)
+        mask[op.schedule.indices] = 1.0
+        expected = np.conj(np.fft.fft(mask)) / op.k_measurements
+        assert_allclose(op.point_spread, expected, rtol=0, atol=1e-15)
+        assert op.point_spread[0] == 1.0
+        assert op.point_spread is op.point_spread
+
+    def test_gram_rejects_out_of_range_bins(self, op):
+        for bins in ([3, op.n_bins], [-1, 4]):
+            with pytest.raises(ValueError, match="out of range"):
+                op.gram_matrix(bins)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=512), data=st.data())
+    def test_gram_gather_equals_atom_gram_property(self, n, data):
+        """p[(b_j - b_i) mod N] == <a_i, a_j>, and the gather is exactly Hermitian."""
+        bins = st.integers(min_value=0, max_value=n - 1)
+        picks = data.draw(st.sets(bins, min_size=1, max_size=64))
+        support = data.draw(st.lists(bins, min_size=1, max_size=32, unique=True))
+        grid = TimeGrid(t_atom=1.0 / n, n_points=n)
+        indices = np.array(sorted(picks), dtype=np.int64)
+        op = SensingOperator(grid, SampleSchedule(indices, indices * grid.t_atom))
+        atoms = op.atoms(support)
+        gram = op.gram_matrix(support)
+        assert_allclose(gram, atoms.conj().T @ atoms, rtol=0, atol=1e-12)
+        assert np.array_equal(gram, gram.conj().T)
+
+    @pytest.mark.parametrize("n_points", [256, 255])
+    def test_deviation_matches_atom_oracle_at_the_path_rule(self, n_points, monkeypatch):
+        """16 bins: S^2 = N gathers the Gram, S^2 = N + 1 takes the two FFTs."""
+        rng = np.random.default_rng(n_points)
+        grid = TimeGrid(t_atom=1.0 / n_points, n_points=n_points)
+        indices = np.sort(rng.choice(n_points, size=40, replace=False))
+        op = SensingOperator(grid, SampleSchedule(indices, indices * grid.t_atom))
+        spec = random_spectrum(rng, n_points, 16)
+        atoms = op.atoms(spec.bins)
+        x_norm = np.linalg.norm(spec.coefficients)
+        expected = abs(np.linalg.norm(atoms.conj().T @ atoms @ spec.coefficients) / x_norm - 1)
+        unused = "adjoint" if n_points == 16 * 16 else "gram_matrix"
+        monkeypatch.setattr(op, unused, lambda *args: pytest.fail(f"{unused} called"))
+        assert_allclose(op.spectral_norm_deviation(spec), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_bins", [2, 200])
+    def test_deviation_rejects_non_finite_and_zero_weights(self, op, n_bins):
+        for bad in (np.inf, np.nan, 0.0):
+            coefficients = np.full(n_bins, bad, dtype=complex)
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                op.spectral_norm_deviation(SparseSpectrum(np.arange(n_bins), coefficients))
+
 
 class TestEmpiricalRip:
     def test_report_shape_and_reproducibility(self, op):
@@ -292,6 +337,12 @@ class TestEmpiricalRip:
         assert_allclose(r1.deviations, r2.deviations)
         assert r1.max_deviation == max(r1.deviations)
         assert r1.percentile(100.0) == pytest.approx(r1.max_deviation)
+
+    def test_report_max_is_derived_from_deviations(self):
+        report = DeviationReport(sparsity=3, deviations=[0.1, 0.4, 0.2])
+        assert report.max_deviation == 0.4
+        with pytest.raises(ValueError):
+            DeviationReport(sparsity=3, deviations=[])
 
     def test_different_seeds_differ(self, op):
         r1 = empirical_rip(op, sparsity=4, trials=16, seed=11)
