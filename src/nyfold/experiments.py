@@ -494,8 +494,8 @@ def _zone_id(config, seed: int):
     sigma2 = _float(config, "zones", "noise_sigma2")
     k_values = _ints(config, "zones", "k_values")
     k_max = _int(config, "zones", "k_max")
-    if sigma2 <= 0.0:
-        raise ConfigError("noise_sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ConfigError("noise_sigma2 must be positive and finite")
 
     constant = estimate_modulation_constant(clock, grid, k_max)
     delta2, _ = pairwise_deviation_bound(constant.c_value, grid.f_res, clock.f_dev, 1)

@@ -12,6 +12,9 @@ correlations cost one row-wise FFT call. Every row keeps its own support,
 Gram, Cholesky factor and log, and leaves the active set once its residual
 meets the tolerance (all-zero rows never enter it). Rows are processed in
 blocks of at most ``_BATCH_POINTS / N`` rows to bound the FFT buffer. Each
+block allocates its workspace once: a ``(rows entering, N)`` complex array
+that every iteration's adjoint writes into through ``adjoint(out=...)``, its
+leading rows once some have left, and one length-N magnitude buffer. Each
 result is bitwise equal to pursuing its row alone; ``omp_recover`` is the
 batch-of-1 case.
 """
@@ -143,15 +146,18 @@ def _omp_block(
     residual_norms = list(y_norms)
     residuals = Y.copy()
     active = [r for r in range(b) if y_norms[r] != 0.0]
+    # one adjoint workspace for the block; rows that leave shrink the slice
+    work = np.empty((len(active), op.n_bins), dtype=complex)
+    magnitude = np.empty(op.n_bins)
 
     for _ in range(max_iters):
         if not active:
             break
-        correlations = op.adjoint(residuals[active].T).T
+        correlations = op.adjoint(residuals[active].T, out=work[: len(active)].T).T
         still_active = []
         for r, correlation in zip(active, correlations):
             support = supports[r]
-            magnitude = np.abs(correlation)
+            np.abs(correlation, out=magnitude)
             if support:
                 magnitude[support] = -1.0
             bin_j = int(np.argmax(magnitude))  # argmax takes the lowest bin on ties

@@ -12,6 +12,14 @@ vector gives an ``(N,)`` correlation, and a ``(K, B)`` stack of B measurement
 columns gives ``(N, B)``. The B columns are transformed together, as the rows
 of one ``(B, N)`` buffer, by a single ``scipy.fft.fft`` call; each row is
 bitwise equal to transforming that column on its own.
+
+``adjoint(y, out=...)`` follows the numpy ``out`` convention: ``out`` has the
+result's shape and dtype complex128, and its transpose is C-contiguous, so the
+``(B, N)`` rows the FFT transforms are the caller's memory. The call zeroes
+``out``, scatters ``y`` into it, transforms and scales it in place, and returns
+it; the values are bitwise those of the allocating call. A caller that runs
+many adjoints of the same width, as OMP does, reuses one buffer instead of
+allocating and zero-filling a fresh ``(B, N)`` array each time.
 """
 
 from __future__ import annotations
@@ -133,27 +141,46 @@ class SensingOperator:
             if not np.isfinite(x).all():
                 raise ValueError("dense input must be finite")
             x = x.astype(complex, copy=False)
-        full = np.fft.ifft(x) * (self.n_bins / math.sqrt(self.k_measurements))
-        return full[self.schedule.indices]
+        full = scipy.fft.ifft(x)
+        return full[self.schedule.indices] * (self.n_bins / math.sqrt(self.k_measurements))
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
+    def adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply Phi*: correlate measurements against every atom.
 
         ``y`` of shape (K,) gives (N,); (K, B) gives (N, B), one column per
-        measurement column, all computed by one row-wise FFT.
+        measurement column, all computed by one row-wise FFT. ``out``, if
+        given, receives the result and is returned (see the module docstring);
+        it must not overlap ``y``.
         """
         y = np.asarray(y)
         if y.ndim not in (1, 2) or y.shape[0] != self.k_measurements:
             raise ValueError("measurements must have shape (K,) or (K, B)")
         if not np.isfinite(y).all():
             raise ValueError("measurements must be finite")
-        rows = np.zeros((y.shape[1] if y.ndim == 2 else 1, self.n_bins), dtype=complex)
+        shape = (self.n_bins,) + y.shape[1:]
+        if out is None:
+            out = np.zeros(shape[::-1], dtype=complex).T
+        elif not (
+            isinstance(out, np.ndarray)
+            and out.shape == shape
+            and out.dtype == np.complex128
+            and out.T.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a complex128 array of shape {shape} "
+                "whose transpose is C-contiguous"
+            )
+        else:
+            out.fill(0.0)
+        rows = out.T.reshape(-1, self.n_bins)  # a view: the transpose is C-contiguous
         rows[:, self.schedule.indices] = y.T  # schedule indices are strictly increasing
-        rows = scipy.fft.fft(rows, axis=-1, overwrite_x=True)
+        spectrum = scipy.fft.fft(rows, axis=-1, overwrite_x=True)
+        if not np.may_share_memory(spectrum, rows):  # scipy may decline to work in place
+            rows[...] = spectrum
         # numpy divides complex by a real as a product with the reciprocal, so
         # this equals dividing by sqrt(K) up to the sign of zeros, ~6x faster
         rows *= 1.0 / math.sqrt(self.k_measurements)
-        return rows.T if y.ndim == 2 else rows[0]
+        return out
 
     def gram_matrix(self, support: Sequence[int]) -> np.ndarray:
         """Restricted Gram ``G[i, j] = p[(b_j - b_i) mod N]``; ``p[-d] == conj(p[d])`` bitwise."""

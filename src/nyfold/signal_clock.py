@@ -414,13 +414,17 @@ def folded_spectrum(
 
     The signal is kept only at schedule indices (zero elsewhere), transformed
     with a unitary DFT, and cut to [0, f_s1 / 2]. Returns (frequencies, magnitudes).
+    A non-finite kept sample raises ValueError.
     """
     if len(signal) != grid.n_points:
         raise ValueError("signal length does not match the grid")
     if schedule.indices.max() >= grid.n_points:
         raise ValueError("schedule indices fall outside the grid")
+    kept = signal[schedule.indices]
+    if not np.isfinite(kept).all():
+        raise ValueError("signal must be finite")
     z = np.zeros(grid.n_points, dtype=complex)
-    z[schedule.indices] = signal[schedule.indices]
+    z[schedule.indices] = kept
     spec = np.fft.fft(z, norm="ortho")
     n_keep = int(math.floor((clock.f_s1 / 2.0) / grid.f_res)) + 1
     n_keep = min(n_keep, grid.n_points)

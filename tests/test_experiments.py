@@ -355,6 +355,15 @@ class TestCli:
         assert code == 2
         assert "noise_sigma2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma2", ["nan", "inf"])
+    def test_non_finite_noise_sigma2_exits_2(self, tmp_path, capsys, sigma2):
+        ini = tmp_path / "sigma.ini"
+        ini.write_text(f"[zones]\nnoise_sigma2 = {sigma2}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["zone-id", "--config", str(ini), "--out", str(out)]) == 2
+        assert "noise_sigma2 must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_measurements_exit_3(self, tmp_path, capsys):
         ini = tmp_path / "nan.ini"
         ini.write_text(
@@ -367,6 +376,14 @@ class TestCli:
         )
         assert code == 3
         assert "measurement row 0 is not finite" in capsys.readouterr().err
+
+    def test_non_finite_tone_amplitude_exits_3(self, tmp_path, capsys):
+        ini = tmp_path / "nan.ini"
+        ini.write_text("[tones]\namplitudes = nan 1 1 1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["spectrum", "--config", str(ini), "--out", str(out)]) == 3
+        assert "signal must be finite" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     def test_deviation_sweep_rejects_clock_f_dev(self, tmp_path, capsys):
         """The sweep sets f_dev per schedule, so a [clock] f_dev_hz is an unknown key."""

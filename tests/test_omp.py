@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nyfold import omp
@@ -144,8 +146,8 @@ class TestOmpRecover:
             def atom(self, j):
                 return self._column
 
-            def adjoint(self, y):
-                return self.atoms(np.arange(2)).conj().T @ y
+            def adjoint(self, y, out=None):
+                return np.matmul(self.atoms(np.arange(2)).conj().T, y, out=out)
 
         rigged = RiggedOp()
         # residual after the first pick is a small off-dictionary component,
@@ -173,15 +175,24 @@ def assert_same_result(got, want):
 
 
 class CountingOp(SensingOperator):
-    """SensingOperator that records the shape of every adjoint input."""
+    """SensingOperator that records the shape of every adjoint input and its ``out``."""
 
     def __init__(self, op):
         super().__init__(op.grid, op.schedule)
         self.adjoint_shapes = []
+        self.outs = []
 
-    def adjoint(self, y):
+    def adjoint(self, y, out=None):
         self.adjoint_shapes.append(np.shape(y))
-        return super().adjoint(y)
+        self.outs.append(out)
+        return super().adjoint(y, out=out)
+
+    def assert_one_buffer_per_block(self, calls_per_block):
+        """Every call of a block wrote into a view of that block's one workspace."""
+        assert all(out is not None for out in self.outs)
+        for i in range(0, len(self.outs), calls_per_block):
+            block = self.outs[i : i + calls_per_block]
+            assert all(np.shares_memory(out, block[0]) for out in block)
 
 
 class TestOmpRecoverBatch:
@@ -210,12 +221,60 @@ class TestOmpRecoverBatch:
             assert_same_result(got, omp_recover(op, row, self.MAX_ITERS, 1e-10))
         assert [r.iterations for r in results] == [self.MAX_ITERS, 0, 1, self.MAX_ITERS]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["zero", "noiseless", "noisy", "noise"]),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        max_iters=st.integers(min_value=1, max_value=8),
+        residual_tol=st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=0.5)),
+        rows_per_block=st.integers(min_value=1, max_value=3),
+    )
+    def test_rows_equal_single_row_bitwise_property(
+        self, op, rows, max_iters, residual_tol, rows_per_block
+    ):
+        """Random rows, tolerances and block sizes: rows leave early and blocks shrink."""
+        k = op.k_measurements
+        batch = []
+        for kind, seed in rows:
+            rng = np.random.default_rng(seed)
+            if kind == "zero":
+                batch.append(np.zeros(k, dtype=complex))
+            elif kind == "noise":
+                batch.append(rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            else:
+                s = int(rng.integers(1, 4))
+                bins = np.sort(rng.choice(op.n_bins, size=s, replace=False))
+                coeff = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                clean = op.forward(SparseSpectrum(bins, coeff))
+                noisy = add_noise(clean, float(rng.uniform(-5.0, 30.0)), seed=seed)
+                batch.append(clean if kind == "noiseless" else noisy)
+        batch = np.stack(batch)
+        try:
+            want = [omp_recover(op, row, max_iters, residual_tol) for row in batch]
+        except GramSingularError:
+            with pytest.raises(GramSingularError):
+                omp_recover_batch(op, batch, max_iters, residual_tol)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(omp, "_BATCH_POINTS", rows_per_block * op.n_bins)
+            results = omp_recover_batch(op, batch, max_iters, residual_tol)
+        assert len(results) == len(batch)
+        for got, expected in zip(results, want):
+            assert_same_result(got, expected)
+
     def test_one_adjoint_per_iteration_over_active_rows(self, op, batch):
         counting = CountingOp(op)
         omp_recover_batch(counting, batch, self.MAX_ITERS, residual_tol=1e-10)
         k = op.k_measurements
         # the zero row never enters; the one-tone row leaves after iteration 1
         assert counting.adjoint_shapes == [(k, 3)] + [(k, 2)] * (self.MAX_ITERS - 1)
+        counting.assert_one_buffer_per_block(self.MAX_ITERS)
 
     def test_blocks_bound_rows_per_adjoint(self, op, batch, monkeypatch):
         monkeypatch.setattr(omp, "_BATCH_POINTS", 2 * op.n_bins)
@@ -223,6 +282,7 @@ class TestOmpRecoverBatch:
         omp_recover_batch(counting, batch, 2)
         assert max(shape[1] for shape in counting.adjoint_shapes) == 2
         assert len(counting.adjoint_shapes) == 4  # two blocks, two iterations each
+        counting.assert_one_buffer_per_block(2)
 
     def test_non_finite_row_named(self, op, batch):
         bad = batch.copy()

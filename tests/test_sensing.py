@@ -144,6 +144,37 @@ class TestOperatorAlgebra:
         with pytest.raises(ValueError, match="finite"):
             op.adjoint(np.full(op.k_measurements, np.inf, dtype=complex))
 
+    def test_adjoint_out_equals_allocating_call_bitwise(self, chirped_op):
+        """out= returns the allocating call's bits in the caller's memory, stale or fresh."""
+        rng = np.random.default_rng(32)
+        k, n = chirped_op.k_measurements, chirped_op.n_bins
+        y = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
+        for measurements, shape in ((y, (n, 3)), (y[:, 0], (n,))):
+            want = chirped_op.adjoint(measurements)
+            fresh = np.zeros(shape[::-1], dtype=complex).T
+            stale = np.full(shape[::-1], complex(np.nan, 7.0)).T
+            for out in (fresh, stale):
+                got = chirped_op.adjoint(measurements, out=out)
+                assert np.shares_memory(got, out)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_adjoint_out_rejects_bad_buffers(self, op):
+        k, n = op.k_measurements, op.n_bins
+        bad = [
+            (np.ones((k, 2)), np.empty((2, n - 1), dtype=complex).T),  # shape
+            (np.ones((k, 2)), np.empty((n, 2), dtype=complex)[:, :1]),  # shape
+            (np.ones(k), np.empty((1, n), dtype=complex).T),  # shape
+            (np.ones((k, 2)), np.empty((2, n), dtype=np.complex64).T),  # dtype
+            (np.ones(k), np.empty(n)),  # dtype
+            (np.ones((k, 2)), np.empty((n, 2), dtype=complex)),  # transpose not C
+            (np.ones(k), np.empty(2 * n, dtype=complex)[::2]),  # strided
+            (np.ones(k), [0j] * n),  # not an array
+        ]
+        for y, out in bad:
+            with pytest.raises(ValueError, match="out must be"):
+                op.adjoint(y, out=out)
+
     def test_forward_rejects_non_finite_dense(self, op):
         x = np.ones(op.n_bins, dtype=complex)
         x[7] = np.nan

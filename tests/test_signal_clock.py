@@ -330,6 +330,18 @@ class TestFoldedSpectrum:
         peak = freqs[np.argmax(mags)]
         assert abs(peak - 0.5e9) <= 2 * grid.f_res
 
+    def test_non_finite_kept_sample_rejected(self):
+        grid = TimeGrid(t_atom=1.0 / 256, n_points=256)
+        clock = ClockConfig(f_s1=16.0, modulation=None)
+        sched = compute_sample_schedule(clock, grid)
+        signal = synthesize_signal([ToneSpec(3.0)], grid)
+        skipped = np.setdiff1d(np.arange(grid.n_points), sched.indices)[0]
+        signal[skipped] = np.nan  # never sampled, so it cannot reach the spectrum
+        folded_spectrum(signal, sched, grid, clock)
+        signal[sched.indices[3]] = np.inf
+        with pytest.raises(ValueError, match="signal must be finite"):
+            folded_spectrum(signal, sched, grid, clock)
+
     def test_chirped_clock_spreads_high_zone_tone(self):
         """A zone-4 tone picks up 2x the clock deviation; baseband does not."""
         grid = TimeGrid(t_atom=1e-11, n_points=262_144)
