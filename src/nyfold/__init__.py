@@ -24,13 +24,10 @@ from .signal_clock import (
     add_noise,
     compute_sample_schedule,
     fold_tone,
-    folded_spectrum,
-    modulation_index_for_zone,
     sample_tones,
     synthesize_signal,
     theta_eval,
     theta_rate,
-    zone_for_modulation_index,
 )
 from .sensing import (
     DeviationReport,
@@ -40,7 +37,6 @@ from .sensing import (
 )
 from .rip import (
     ModulationConstant,
-    StripResult,
     estimate_modulation_constant,
     guaranteed_sparsity_convex,
     kth_spectrum,
@@ -48,7 +44,6 @@ from .rip import (
     omp_guarantee_threshold,
     pairwise_deviation_bound,
     strip_failure_probability,
-    strip_result,
 )
 from .omp import (
     DetectionBound,
@@ -81,19 +76,15 @@ __all__ = [
     "add_noise",
     "compute_sample_schedule",
     "fold_tone",
-    "folded_spectrum",
-    "modulation_index_for_zone",
     "sample_tones",
     "synthesize_signal",
     "theta_eval",
     "theta_rate",
-    "zone_for_modulation_index",
     "DeviationReport",
     "SensingOperator",
     "SparseSpectrum",
     "empirical_rip",
     "ModulationConstant",
-    "StripResult",
     "estimate_modulation_constant",
     "guaranteed_sparsity_convex",
     "kth_spectrum",
@@ -101,7 +92,6 @@ __all__ = [
     "omp_guarantee_threshold",
     "pairwise_deviation_bound",
     "strip_failure_probability",
-    "strip_result",
     "DetectionBound",
     "GramSingularError",
     "RecoveryResult",

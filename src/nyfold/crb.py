@@ -84,8 +84,7 @@ def fisher_information(model: ChirpModel) -> float:
     I(alpha) = A^2 pi^2 Delta^4 K (K+1) (2K+1) (3K^2 + 3K - 1) / (15 sigma^2),
     the closed form of ``2 A^2 pi^2 Delta^4 sum_{i=1}^K i^4 / sigma^2``.
     """
-    k = model.count
-    poly = k * (k + 1) * (2 * k + 1) * (3 * k * k + 3 * k - 1)  # exact integer
+    poly = 30 * quartic_power_sum(model.count)  # exact integer
     return (
         model.amplitude**2
         * math.pi**2

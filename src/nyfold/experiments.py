@@ -49,7 +49,6 @@ from .signal_clock import (
     add_noise,
     compute_sample_schedule,
     fold_tone,
-    folded_spectrum,
     sample_tones,
 )
 from .svgplot import line_plot
@@ -369,15 +368,27 @@ def _spectrum(config, seed: int):
     if mode not in ("real", "complex"):
         raise ConfigError(f"signal_mode must be real or complex, got {mode!r}")
     tones = [ToneSpec(f, a, p) for f, a, p in zip(freqs, amps, phases)]
+    half = grid.f_atomic / 2.0
+    for tone in tones:
+        if tone.frequency >= half:
+            raise ConfigError(
+                f"tone at {tone.frequency:g} Hz is at or above f_atomic/2 = {half:g} Hz"
+            )
 
-    from .signal_clock import synthesize_signal
-
-    signal = synthesize_signal(tones, grid, complex_mode=(mode == "complex"))
+    # the folded spectrum is the operator's adjoint of the K samples, rescaled
+    # to the unitary N-point DFT of the zero-filled sample train
     schedule = compute_sample_schedule(clock, grid)
-    spectrum_freqs, magnitudes = folded_spectrum(signal, schedule, grid, clock)
+    samples = sample_tones(tones, schedule.indices * grid.t_atom)
+    if mode == "real":
+        samples = samples.real
+    if not np.isfinite(samples).all():
+        raise ValueError("signal must be finite")
+    n_keep = min(int(math.floor((clock.f_s1 / 2.0) / grid.f_res)) + 1, grid.n_points)
+    correlation = SensingOperator(grid, schedule).adjoint(samples)[:n_keep]
+    magnitudes = np.abs(correlation) * math.sqrt(schedule.size / grid.n_points)
     records = [
         {"frequency_hz": float(f), "magnitude": float(m)}
-        for f, m in zip(spectrum_freqs, magnitudes)
+        for f, m in zip(np.arange(n_keep) * grid.f_res, magnitudes)
     ]
     notes = {
         "k_samples": str(schedule.size),
@@ -389,11 +400,11 @@ def _spectrum(config, seed: int):
             f"f_c={tone.frequency:g} f_if={fold.f_if:g} m={fold.m_index} "
             f"zone={fold.nyquist_zone} width={abs(fold.m_index) * clock.f_dev:g}"
         )
-    spectrogram = _spectrogram_table(signal, schedule, grid, clock, config)
+    spectrogram = _spectrogram_table(samples, schedule, grid, clock, config)
     return records, notes, {"spectrogram.csv": spectrogram}
 
 
-def _spectrogram_table(signal, schedule, grid, clock, config) -> list[list[str]]:
+def _spectrogram_table(samples, schedule, grid, clock, config) -> list[list[str]]:
     # scipy.signal is imported here, its only use: it costs ~0.7 s and ~43 MB
     from scipy.signal import ShortTimeFFT
     from scipy.signal.windows import hann
@@ -403,7 +414,7 @@ def _spectrogram_table(signal, schedule, grid, clock, config) -> list[list[str]]
     if window < 8 or hop < 1:
         raise ConfigError("stft_window/stft_hop too small")
     z = np.zeros(grid.n_points, dtype=float)
-    z[schedule.indices] = np.real(signal[schedule.indices])
+    z[schedule.indices] = np.real(samples)
     stft = ShortTimeFFT(hann(window, sym=False), hop=hop, fs=grid.f_atomic)
     spectrogram = np.abs(stft.stft(z))
     keep = stft.f <= clock.f_s1 / 2.0

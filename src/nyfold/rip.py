@@ -11,6 +11,10 @@ through the spectral concentration of ``exp(j k theta(t))``: with C the worst
 peak-to-band-energy constant over harmonic scalings k,
 
     delta_2 <= C * sqrt(f_res / f_dev),    delta_s <= s * delta_2.
+
+``kth_spectrum`` and ``estimate_modulation_constant`` take every harmonic
+spectrum from one path: the unitary ``scipy.fft`` DFT of ``x * exp(j k theta)``,
+with theta evaluated once per clock and grid and cached.
 """
 
 from __future__ import annotations
@@ -25,17 +29,6 @@ import scipy.fft
 from .signal_clock import ClockConfig, Modulation, TimeGrid, theta_eval, theta_rate
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
-
-
-@dataclass(frozen=True)
-class StripResult:
-    """One evaluation of the statistical isometry failure bound."""
-
-    n_bins: int
-    k_measurements: int
-    sparsity: int
-    delta: float
-    failure_probability: float  # raw bound; values above 1 are vacuous
 
 
 @dataclass(frozen=True)
@@ -78,10 +71,6 @@ def strip_failure_probability(n: int, k: int, s: int, delta: float) -> float:
     return (2.0 * s / k + (2.0 * s + 7.0) / (n - 3.0)) / (slack * slack)
 
 
-def strip_result(n: int, k: int, s: int, delta: float) -> StripResult:
-    return StripResult(n, k, s, delta, strip_failure_probability(n, k, s, delta))
-
-
 def max_recoverable_sparsity(n: int, k: int, delta_target: float, p_fail: float) -> int:
     """Largest s whose doubled support passes the failure bound at delta_target.
 
@@ -105,10 +94,16 @@ def max_recoverable_sparsity(n: int, k: int, delta_target: float, p_fail: float)
 
 @functools.lru_cache(maxsize=1)
 def _grid_theta(modulation: Modulation, grid: TimeGrid) -> np.ndarray:
-    # repeated kth_spectrum calls on one clock and grid reuse theta (read-only)
+    # repeated harmonic spectra on one clock and grid reuse theta (read-only)
     theta = theta_eval(modulation, grid.times())
     theta.flags.writeable = False
     return theta
+
+
+def _harmonic_spectrum(x, k: int, modulation: Modulation, grid: TimeGrid) -> np.ndarray:
+    """Unitary DFT of ``x * exp(j k theta(t))`` over the grid."""
+    phase = k * _grid_theta(modulation, grid)
+    return scipy.fft.fft(x * np.exp(1j * phase), norm="ortho", overwrite_x=True)
 
 
 def kth_spectrum(
@@ -125,8 +120,7 @@ def kth_spectrum(
         raise ValueError("signal length does not match the grid")
     if abs(k) * clock.f_dev >= grid.f_atomic / 2.0:
         raise ValueError("modulation image would leave the representable band")
-    phase = k * _grid_theta(clock.modulation, grid)
-    spec = scipy.fft.fft(x * np.exp(1j * phase), norm="ortho", overwrite_x=True)
+    spec = _harmonic_spectrum(x, k, clock.modulation, grid)
     shift = int(round(k * clock.f_s1 / grid.f_res))
     return np.roll(spec, shift)
 
@@ -146,15 +140,13 @@ def estimate_modulation_constant(
         raise ValueError("modulation constant needs a modulated clock")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    t = grid.times()
-    theta = theta_eval(clock.modulation, t)
-    rate = theta_rate(clock.modulation, t) / (2.0 * math.pi)
+    rate = theta_rate(clock.modulation, grid.times()) / (2.0 * math.pi)
     f_lo, f_hi = float(rate.min()), float(rate.max())
     f_res = grid.f_res
     n = grid.n_points
     per_k = np.empty(k_max, dtype=float)
     for k in range(1, k_max + 1):
-        g2 = np.abs(np.fft.fft(np.exp(1j * k * theta), norm="ortho")) ** 2
+        g2 = np.abs(_harmonic_spectrum(1.0, k, clock.modulation, grid)) ** 2
         lo = int(math.floor(k * f_lo / f_res))
         hi = int(math.ceil(k * f_hi / f_res))
         if hi - lo + 1 >= n:

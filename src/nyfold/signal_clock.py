@@ -299,9 +299,11 @@ def _bracketed_crossing(mod, omega, target, t_prev, f_s1, tol) -> float:
 def sample_tones(tones: Sequence[ToneSpec], times: np.ndarray) -> np.ndarray:
     """Sum of complex tones ``A exp(j (2 pi f t + phase))`` at the given times.
 
-    Measurement code calls it at the schedule's sample times (``indices *
-    t_atom``); complex-mode ``synthesize_signal`` calls it on the whole grid,
-    so the two agree bitwise at the schedule indices. No band check is made.
+    Every experiment calls it at the schedule's sample times only (``indices
+    * t_atom``); the real part is the cosine signal. Complex-mode
+    ``synthesize_signal`` calls it on the whole grid, so the two agree
+    bitwise at the schedule indices. No band check is made: a caller that
+    needs tones below ``f_atomic / 2`` checks them itself.
     """
     out = np.zeros(len(times), dtype=complex)
     for tone in tones:
@@ -388,45 +390,3 @@ def fold_tone(f_c: float, clock: ClockConfig) -> FoldedTone:
     return FoldedTone(
         f_if=abs(diff), k_h=k_h, beta=beta, m_index=beta * k_h, nyquist_zone=zone
     )
-
-
-def modulation_index_for_zone(zone: int) -> int:
-    """Signed modulation scaling for a Nyquist zone: 0, -1, 1, -2, 2, ..."""
-    if zone < 0:
-        raise ValueError("zone must be non-negative")
-    return zone // 2 if zone % 2 == 0 else -(zone + 1) // 2
-
-
-def zone_for_modulation_index(m: int) -> int:
-    """Inverse of modulation_index_for_zone."""
-    if m == 0:
-        return 0
-    return 2 * m if m > 0 else -2 * m - 1
-
-
-def folded_spectrum(
-    signal: np.ndarray,
-    schedule: SampleSchedule,
-    grid: TimeGrid,
-    clock: ClockConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude spectrum of the sampled signal over the first Nyquist zone.
-
-    The signal is kept only at schedule indices (zero elsewhere), transformed
-    with a unitary DFT, and cut to [0, f_s1 / 2]. Returns (frequencies, magnitudes).
-    A non-finite kept sample raises ValueError.
-    """
-    if len(signal) != grid.n_points:
-        raise ValueError("signal length does not match the grid")
-    if schedule.indices.max() >= grid.n_points:
-        raise ValueError("schedule indices fall outside the grid")
-    kept = signal[schedule.indices]
-    if not np.isfinite(kept).all():
-        raise ValueError("signal must be finite")
-    z = np.zeros(grid.n_points, dtype=complex)
-    z[schedule.indices] = kept
-    spec = np.fft.fft(z, norm="ortho")
-    n_keep = int(math.floor((clock.f_s1 / 2.0) / grid.f_res)) + 1
-    n_keep = min(n_keep, grid.n_points)
-    freqs = np.arange(n_keep) * grid.f_res
-    return freqs, np.abs(spec[:n_keep])

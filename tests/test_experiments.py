@@ -18,6 +18,8 @@ from nyfold.experiments import (
     SPECS,
     ConfigError,
     ResultManifest,
+    _build_clock,
+    _build_grid,
     _int_range,
     default_config,
     fanout_seed,
@@ -25,6 +27,7 @@ from nyfold.experiments import (
     read_sections,
     resolve_config,
     run_recovery_sweep,
+    run_spectrum,
     run_strip_table,
     run_zone_id,
     write_sections,
@@ -277,6 +280,43 @@ def test_cli_run_matches_golden_and_plots(experiment, tmp_path):
     assert ET.fromstring(svgs[0].read_text(encoding="utf-8")).tag.endswith("svg")
 
 
+class TestSpectrumRunner:
+    @staticmethod
+    def config(mode):
+        overrides = dict(TINY_OVERRIDES["spectrum"])
+        overrides["spectrum"] = {**overrides["spectrum"], "signal_mode": mode}
+        return resolve_config("spectrum", "desk", overrides)
+
+    @pytest.mark.parametrize("mode", ["real", "complex"])
+    def test_magnitudes_match_unitary_fft_of_sample_train(self, mode):
+        """The adjoint route equals the unitary N-point DFT of the zero-filled
+        grid signal, cut to the first Nyquist zone."""
+        config = self.config(mode)
+        records = run_spectrum(config, seed=11, scale="desk").records
+        grid, clock = _build_grid(config), _build_clock(config)
+        tones = [signal_clock.ToneSpec(f) for f in (5e8, 2.5e9, 4.5e9, 6.5e9)]  # the preset's
+        indices = signal_clock.compute_sample_schedule(clock, grid).indices
+        signal = signal_clock.synthesize_signal(tones, grid, complex_mode=(mode == "complex"))
+        z = np.zeros(grid.n_points, dtype=complex)
+        z[indices] = signal[indices]
+        n_keep = math.floor((clock.f_s1 / 2.0) / grid.f_res) + 1
+        assert [r["frequency_hz"] for r in records] == list(np.arange(n_keep) * grid.f_res)
+        np.testing.assert_allclose(
+            [r["magnitude"] for r in records],
+            np.abs(np.fft.fft(z, norm="ortho"))[:n_keep],
+            rtol=1e-15,
+            atol=0,
+        )
+
+    def test_samples_only_at_the_schedule(self, monkeypatch):
+        def no_grid_synthesis(*args, **kwargs):
+            raise AssertionError("spectrum must not synthesize the full grid")
+
+        monkeypatch.setattr(signal_clock, "synthesize_signal", no_grid_synthesis)
+        manifest = run_spectrum(self.config("real"), seed=11, scale="desk")
+        assert len(manifest.records) == 164
+
+
 @pytest.mark.parametrize("experiment", ["recovery-sweep", "zone-id"])
 def test_benchmarked_runs_compute_no_point_spread(experiment, tmp_path, monkeypatch):
     """Neither run gathers Gram entries, so neither pays the point-spread FFT."""
@@ -384,6 +424,15 @@ class TestCli:
         assert cli.main(["spectrum", "--config", str(ini), "--out", str(out)]) == 3
         assert "signal must be finite" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    def test_tone_at_atomic_nyquist_exits_2(self, tmp_path, capsys):
+        """Sampling makes no band check, so the runner rejects such a tone itself."""
+        ini = tmp_path / "band.ini"
+        ini.write_text("[tones]\nfrequencies_hz = 5e8 2.5e9 4.5e9 5e10\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["spectrum", "--config", str(ini), "--out", str(out)]) == 2
+        assert "is at or above f_atomic/2 = 5e+10 Hz" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deviation_sweep_rejects_clock_f_dev(self, tmp_path, capsys):
         """The sweep sets f_dev per schedule, so a [clock] f_dev_hz is an unknown key."""

@@ -19,7 +19,6 @@ from nyfold.rip import (
     omp_guarantee_threshold,
     pairwise_deviation_bound,
     strip_failure_probability,
-    strip_result,
 )
 from nyfold.signal_clock import (
     ClockConfig,
@@ -70,12 +69,6 @@ class TestStripBound:
             strip_failure_probability(10**6, 10**4, 10, 1.5)
         with pytest.raises(ValueError):
             strip_failure_probability(3, 2, 1, 0.4)
-
-    def test_result_record(self):
-        res = strip_result(10**6, 20000, 10, SQRT2_MINUS_1)
-        assert res.n_bins == 10**6
-        assert res.sparsity == 10
-        assert 0.0 < res.failure_probability < 1.0
 
 
 class TestMaxRecoverableSparsity:
@@ -188,6 +181,32 @@ class TestModulationConstant:
         mc = estimate_modulation_constant(clock, grid, k_max=4)
         assert np.all(np.isfinite(mc.per_k))
         assert mc.c_value > 0
+
+    @pytest.mark.parametrize(
+        "law", [LinearChirp(1e7, 1e-5), Sinusoid(1e7, 1e-5)], ids=["chirp", "sine"]
+    )
+    def test_per_k_matches_numpy_oracle_from_cached_theta(self, law, monkeypatch):
+        """C_k agrees with an independent numpy.fft loop, and theta comes from
+        the cache kth_spectrum fills: no second evaluation on the grid."""
+        grid = TimeGrid(t_atom=1e-10, n_points=100_000)
+        clock = ClockConfig(2e8, law)
+        theta = _theta_on_grid(clock, grid)
+        rate = rip.theta_rate(law, grid.times()) / (2.0 * math.pi)
+        expected = []
+        for k in range(1, 6):
+            g2 = np.abs(np.fft.fft(np.exp(1j * k * theta), norm="ortho")) ** 2
+            lo = math.floor(k * rate.min() / grid.f_res)
+            hi = math.ceil(k * rate.max() / grid.f_res)
+            band = g2[np.arange(lo, hi + 1) % grid.n_points].sum()
+            expected.append(math.sqrt(g2.max() * k * law.f_dev / (grid.f_res * band)))
+        rip._grid_theta(law, grid)
+
+        def no_theta(*args):
+            raise AssertionError("theta evaluated again")
+
+        monkeypatch.setattr(rip, "theta_eval", no_theta)
+        mc = estimate_modulation_constant(clock, grid, k_max=5)
+        assert_allclose(mc.per_k, expected, rtol=1e-15, atol=0)
 
     def test_requires_modulation(self):
         grid = TimeGrid(t_atom=1e-10, n_points=10_000)

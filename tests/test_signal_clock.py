@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from nyfold.experiments import resolve_config, run_spectrum
 from nyfold.signal_clock import (
     TWO_PI,
     ClockConfig,
@@ -20,14 +21,16 @@ from nyfold.signal_clock import (
     add_noise,
     compute_sample_schedule,
     fold_tone,
-    folded_spectrum,
-    modulation_index_for_zone,
     sample_tones,
     synthesize_signal,
     theta_eval,
     theta_rate,
-    zone_for_modulation_index,
 )
+
+
+def modulation_index_for_zone(zone):
+    """Signed modulation scaling for a Nyquist zone: 0, -1, 1, -2, 2, ..."""
+    return zone // 2 if zone % 2 == 0 else -(zone + 1) // 2
 
 
 class TestTimeGrid:
@@ -226,13 +229,16 @@ class TestSynthesisAndNoise:
         picks=st.sets(st.integers(min_value=0, max_value=4095), min_size=1, max_size=200),
     )
     def test_sample_tones_equals_synthesis_at_schedule(self, n_points, t_atom, tones, picks):
-        """Sampling the tones at the schedule times is bitwise the grid signal there."""
+        """Sampling the tones at the schedule times is bitwise the grid signal
+        there, and its real part is bitwise the real-mode (cosine) signal."""
         grid = TimeGrid(t_atom, n_points)
         specs = [ToneSpec(f * grid.f_atomic, a, p) for f, a, p in tones]
         indices = np.array(sorted({i % n_points for i in picks}), dtype=np.int64)
         schedule = SampleSchedule(indices, indices * t_atom)
         sampled = sample_tones(specs, schedule.indices * grid.t_atom)
         assert np.array_equal(sampled, synthesize_signal(specs, grid)[schedule.indices])
+        real = synthesize_signal(specs, grid, complex_mode=False)[schedule.indices]
+        assert np.array_equal(sampled.real, real)
 
     def test_rejects_tone_beyond_atomic_nyquist(self):
         grid = TimeGrid(t_atom=1e-3, n_points=64)
@@ -302,12 +308,13 @@ class TestFolding:
         assert_allclose(fold.f_if, 0.0)
 
     def test_zone_index_roundtrip(self):
+        """A tone at the centre of zone z folds back into zone z, scaled by m(z)."""
+        assert [modulation_index_for_zone(z) for z in range(5)] == [0, -1, 1, -2, 2]
+        clock = ClockConfig(f_s1=2e9, modulation=None)
         for zone in range(41):
-            m = modulation_index_for_zone(zone)
-            assert zone_for_modulation_index(m) == zone
-        assert modulation_index_for_zone(0) == 0
-        assert modulation_index_for_zone(1) == -1
-        assert modulation_index_for_zone(2) == 1
+            fold = fold_tone((zone + 0.5) * clock.f_s1 / 2, clock)
+            assert fold.nyquist_zone == zone
+            assert fold.m_index == modulation_index_for_zone(zone)
 
     def test_fold_matches_zone_mapping(self):
         clock = ClockConfig(f_s1=2e9, modulation=None)
@@ -318,39 +325,35 @@ class TestFolding:
             assert 0.0 <= fold.f_if <= clock.f_s1 / 2 + 1e-6
 
 
+def spectrum_magnitudes(tone_hz, **sections):
+    """Folded spectrum of one complex tone, as the spectrum runner reports it."""
+    overrides = {
+        "tones": {"frequencies_hz": repr(tone_hz), "amplitudes": "1", "phases_rad": "0"},
+        "spectrum": {"signal_mode": "complex"},
+        **sections,
+    }
+    manifest = run_spectrum(resolve_config("spectrum", "desk", overrides), 0, "desk")
+    freqs = np.array([r["frequency_hz"] for r in manifest.records])
+    return freqs, np.array([r["magnitude"] for r in manifest.records])
+
+
 class TestFoldedSpectrum:
     def test_undersampled_tone_lands_at_intermediate_frequency(self):
         grid = TimeGrid(t_atom=1e-11, n_points=100_000)  # 1 us window
-        clock = ClockConfig(f_s1=2e9, modulation=None)
-        signal = synthesize_signal([ToneSpec(2.5e9)], grid)
-        sched = compute_sample_schedule(clock, grid)
-        freqs, mags = folded_spectrum(signal, sched, grid, clock)
+        f_s1 = 2e9
+        freqs, mags = spectrum_magnitudes(
+            2.5e9, grid={"n_points": str(grid.n_points)}, clock={"modulation": "none"}
+        )
         assert freqs[0] == 0.0
-        assert freqs[-1] <= clock.f_s1 / 2 + grid.f_res
+        assert freqs[-1] <= f_s1 / 2 + grid.f_res
         peak = freqs[np.argmax(mags)]
         assert abs(peak - 0.5e9) <= 2 * grid.f_res
 
-    def test_non_finite_kept_sample_rejected(self):
-        grid = TimeGrid(t_atom=1.0 / 256, n_points=256)
-        clock = ClockConfig(f_s1=16.0, modulation=None)
-        sched = compute_sample_schedule(clock, grid)
-        signal = synthesize_signal([ToneSpec(3.0)], grid)
-        skipped = np.setdiff1d(np.arange(grid.n_points), sched.indices)[0]
-        signal[skipped] = np.nan  # never sampled, so it cannot reach the spectrum
-        folded_spectrum(signal, sched, grid, clock)
-        signal[sched.indices[3]] = np.inf
-        with pytest.raises(ValueError, match="signal must be finite"):
-            folded_spectrum(signal, sched, grid, clock)
-
     def test_chirped_clock_spreads_high_zone_tone(self):
         """A zone-4 tone picks up 2x the clock deviation; baseband does not."""
-        grid = TimeGrid(t_atom=1e-11, n_points=262_144)
-        clock = ClockConfig(f_s1=2e9, modulation=LinearChirp(1e8, grid.duration))
-        sched = compute_sample_schedule(clock, grid)
-
+        # the desk preset: N = 2^18 at 1e-11 s, a 1e8 Hz chirp over the window
         def peak_width(f_c):
-            signal = synthesize_signal([ToneSpec(f_c)], grid)
-            _, mags = folded_spectrum(signal, sched, grid, clock)
+            _, mags = spectrum_magnitudes(f_c)
             power = mags**2
             threshold = power.max() * 1e-2
             return int(np.count_nonzero(power > threshold))
