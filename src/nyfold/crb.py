@@ -8,7 +8,9 @@ a ceiling on the zone-identification probability.
 
 The Monte Carlo trials build each measurement in the sample domain: the tone
 is evaluated only at the K schedule sample times and noised there, never on
-the full N-point grid, so a trial costs O(K) before its one OMP step.
+the full N-point grid, so a trial costs O(K) before its one OMP step. All
+trials of one K then take that step as one lockstep batch, so their
+correlations share row-wise adjoint FFTs instead of one FFT per trial.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .omp import omp_recover
+from .omp import omp_recover_batch
 from .sensing import SensingOperator
 from .signal_clock import (
     ClockConfig,
@@ -145,10 +147,11 @@ def simulate_nz_trials(
 
     Per trial a single tone is drawn uniformly over the first ``n_zones``
     zones, evaluated at the K sample times of the modulated schedule (the
-    schedule truncated to K samples), noised there at ``snr_db`` per sample
-    against the sampled tone's mean power, and passed to one OMP step. The
-    strongest dictionary bin maps back to a zone by its frequency; the trial
-    succeeds when that zone is the tone's.
+    schedule truncated to K samples) and noised there at ``snr_db`` per sample
+    against the sampled tone's mean power. The trials of one K take one OMP
+    step together, as one ``omp_recover_batch`` call. The strongest
+    dictionary bin maps back to a zone by its frequency; the trial succeeds
+    when that zone is the tone's.
 
     Returns the success fraction per entry of ``k_values``.
     """
@@ -168,17 +171,20 @@ def simulate_nz_trials(
     for ki, k in enumerate(k_values):
         op = SensingOperator(grid, schedule.truncated(int(k)))
         times = op.schedule.indices * grid.t_atom
-        hits = 0
+        measurements = np.empty((trials, op.k_measurements), dtype=complex)
+        zones_true = []
         for trial in range(trials):
             rng = np.random.default_rng([seed, ki, trial])
             freq = rng.uniform(0.0, band)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             tone = ToneSpec(frequency=freq, amplitude=1.0, phase=phase)
-            y = add_noise(sample_tones([tone], times), snr_db, seed=int(rng.integers(2**63)))
-            result = omp_recover(op, y, max_iters=1)
-            detected = result.support[0]
-            zone_est = int(math.floor(2.0 * detected * grid.f_res / clock.f_s1))
-            zone_true = int(math.floor(2.0 * freq / clock.f_s1))
-            hits += int(zone_est == zone_true)
+            clean = sample_tones([tone], times)
+            measurements[trial] = add_noise(clean, snr_db, seed=int(rng.integers(2**63)))
+            zones_true.append(math.floor(2.0 * freq / clock.f_s1))
+        results = omp_recover_batch(op, measurements, max_iters=1)
+        hits = sum(
+            math.floor(2.0 * result.support[0] * grid.f_res / clock.f_s1) == zone_true
+            for result, zone_true in zip(results, zones_true)
+        )
         fractions[ki] = hits / trials
     return fractions

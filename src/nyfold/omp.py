@@ -3,8 +3,10 @@
 Orthogonal matching pursuit against the full Fourier dictionary: at every
 iteration the residual is correlated with all N atoms through one FFT, the
 strongest bin joins the support, and the coefficients are re-fit by least
-squares on the support's Hermitian Gram system (Cholesky, no regularization;
-a singular Gram raises rather than being silently regularized).
+squares on the support's Hermitian Gram system: ``numpy.linalg.cholesky``
+factors it as ``L L^H`` and two ``numpy.linalg.solve`` calls on ``L`` and
+``L^H`` give the coefficients. There is no regularization; a singular Gram
+raises rather than being silently regularized.
 
 Pursuit runs in lockstep over a batch of measurement rows: each iteration
 hands the residuals of all still-active rows to one ``(K, B)`` adjoint, so B
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .sensing import SensingOperator
 from .signal_clock import TimeGrid, ToneSpec
@@ -175,10 +176,11 @@ def _omp_block(
             support.append(bin_j)
 
             try:
-                factor = cho_factor(gram[r, : i + 1, : i + 1], lower=True)
-                coefficients[r] = cho_solve(factor, rhs[r, : i + 1])
-            except LinAlgError as exc:
+                factor = np.linalg.cholesky(gram[r, : i + 1, : i + 1])
+            except np.linalg.LinAlgError as exc:
                 raise GramSingularError(support) from exc
+            half_solved = np.linalg.solve(factor, rhs[r, : i + 1])
+            coefficients[r] = np.linalg.solve(factor.conj().T, half_solved)
 
             residuals[r] = Y[r] - selected[r, :, : i + 1] @ coefficients[r]
             residual_norms[r] = float(np.linalg.norm(residuals[r]))

@@ -13,8 +13,10 @@ peak-to-band-energy constant over harmonic scalings k,
     delta_2 <= C * sqrt(f_res / f_dev),    delta_s <= s * delta_2.
 
 ``kth_spectrum`` and ``estimate_modulation_constant`` take every harmonic
-spectrum from one path: the unitary ``scipy.fft`` DFT of ``x * exp(j k theta)``,
-with theta evaluated once per clock and grid and cached.
+spectrum from one path: the unitary DFT of ``x * exp(j k theta)``, with theta
+evaluated once per clock and grid and cached. It runs ``numpy.fft.fft`` in
+place and scales by ``1/sqrt(N)`` rounded from long double, the factor
+``scipy.fft``'s ``norm="ortho"`` applies, so the spectra are bitwise scipy's.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .signal_clock import ClockConfig, Modulation, TimeGrid, theta_eval, theta_rate
 
@@ -103,7 +104,11 @@ def _grid_theta(modulation: Modulation, grid: TimeGrid) -> np.ndarray:
 def _harmonic_spectrum(x, k: int, modulation: Modulation, grid: TimeGrid) -> np.ndarray:
     """Unitary DFT of ``x * exp(j k theta(t))`` over the grid."""
     phase = k * _grid_theta(modulation, grid)
-    return scipy.fft.fft(x * np.exp(1j * phase), norm="ortho", overwrite_x=True)
+    z = x * np.exp(1j * phase)
+    np.fft.fft(z, out=z)
+    parts = z.view(np.float64)  # scale re and im alone, as pocketfft does
+    parts *= float(1 / np.sqrt(np.longdouble(grid.n_points)))
+    return z
 
 
 def kth_spectrum(

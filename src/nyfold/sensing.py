@@ -10,16 +10,17 @@ read from the schedule's point-spread function ``p``, one FFT of the sample mask
 The adjoint follows the plain ``A^H @ Y`` convention: a ``(K,)`` measurement
 vector gives an ``(N,)`` correlation, and a ``(K, B)`` stack of B measurement
 columns gives ``(N, B)``. The B columns are transformed together, as the rows
-of one ``(B, N)`` buffer, by a single ``scipy.fft.fft`` call; each row is
+of one ``(B, N)`` buffer, by a single ``numpy.fft.fft`` call; each row is
 bitwise equal to transforming that column on its own.
 
 ``adjoint(y, out=...)`` follows the numpy ``out`` convention: ``out`` has the
 result's shape and dtype complex128, and its transpose is C-contiguous, so the
 ``(B, N)`` rows the FFT transforms are the caller's memory. The call zeroes
-``out``, scatters ``y`` into it, transforms and scales it in place, and returns
-it; the values are bitwise those of the allocating call. A caller that runs
-many adjoints of the same width, as OMP does, reuses one buffer instead of
-allocating and zero-filling a fresh ``(B, N)`` array each time.
+``out``, scatters ``y`` into it, transforms it there (``numpy.fft``'s own
+``out=``), scales it in place and returns it; the values are bitwise those of
+the allocating call. A caller that runs many adjoints of the same width, as
+OMP does, reuses one buffer instead of allocating and zero-filling a fresh
+``(B, N)`` array each time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 
 from .signal_clock import SampleSchedule, TimeGrid
 
@@ -112,10 +112,17 @@ class SensingOperator:
 
     @functools.cached_property
     def point_spread(self) -> np.ndarray:
-        """``p[d] = (1/K) sum_m exp(2 pi i k_m d / N)``, taken on first use."""
-        mask = np.zeros(self.n_bins)
+        """``p[d] = (1/K) sum_m exp(2 pi i k_m d / N)``, taken on first use.
+
+        The half ``d <= N/2`` is the conjugated real FFT of the sample mask;
+        the rest is its mirror, so ``p[N - d] == conj(p[d])`` holds bitwise.
+        """
+        n = self.n_bins
+        mask = np.zeros(n)
         mask[self.schedule.indices] = 1.0
-        return scipy.fft.ifft(mask, norm="forward") / self.k_measurements
+        half = np.fft.rfft(mask).conj()  # d = 0 .. N // 2
+        mirror = half[1 : (n + 1) // 2][::-1].conj()  # d = N // 2 + 1 .. N - 1
+        return np.concatenate([half, mirror]) / self.k_measurements
 
     def atoms(self, bins: Sequence[int]) -> np.ndarray:
         """Materialize unit-norm columns for the given bins (K x len(bins))."""
@@ -141,7 +148,7 @@ class SensingOperator:
             if not np.isfinite(x).all():
                 raise ValueError("dense input must be finite")
             x = x.astype(complex, copy=False)
-        full = scipy.fft.ifft(x)
+        full = np.fft.ifft(x)
         return full[self.schedule.indices] * (self.n_bins / math.sqrt(self.k_measurements))
 
     def adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -174,9 +181,7 @@ class SensingOperator:
             out.fill(0.0)
         rows = out.T.reshape(-1, self.n_bins)  # a view: the transpose is C-contiguous
         rows[:, self.schedule.indices] = y.T  # schedule indices are strictly increasing
-        spectrum = scipy.fft.fft(rows, axis=-1, overwrite_x=True)
-        if not np.may_share_memory(spectrum, rows):  # scipy may decline to work in place
-            rows[...] = spectrum
+        np.fft.fft(rows, axis=-1, out=rows)
         # numpy divides complex by a real as a product with the reciprocal, so
         # this equals dividing by sqrt(K) up to the sign of zeros, ~6x faster
         rows *= 1.0 / math.sqrt(self.k_measurements)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erf
 
+from nyfold import crb, omp
 from nyfold.crb import (
     ChirpModel,
     crb_variance,
@@ -15,7 +16,16 @@ from nyfold.crb import (
     quartic_power_sum,
     simulate_nz_trials,
 )
-from nyfold.signal_clock import ClockConfig, LinearChirp, TimeGrid
+from nyfold.sensing import SensingOperator
+from nyfold.signal_clock import (
+    ClockConfig,
+    LinearChirp,
+    TimeGrid,
+    ToneSpec,
+    add_noise,
+    compute_sample_schedule,
+    sample_tones,
+)
 
 
 def brute_fisher(model):
@@ -169,3 +179,51 @@ class TestSimulatedZoneTrials:
             grid, clock, snr_db=60.0, n_zones=20, k_values=[1500], trials=12, seed=2
         )
         assert fractions[0] == 1.0
+
+
+def per_trial_fractions(grid, clock, snr_db, n_zones, k_values, trials, seed):
+    """Oracle: every trial drawn in the runner's order and pursued on its own."""
+    schedule = compute_sample_schedule(clock, grid)
+    band = n_zones * clock.f_s1 / 2.0
+    fractions = []
+    for ki, k in enumerate(k_values):
+        op = SensingOperator(grid, schedule.truncated(k))
+        times = op.schedule.indices * grid.t_atom
+        hits = 0
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, ki, trial])
+            freq = rng.uniform(0.0, band)
+            tone = ToneSpec(freq, 1.0, rng.uniform(0.0, 2.0 * math.pi))
+            y = add_noise(sample_tones([tone], times), snr_db, seed=int(rng.integers(2**63)))
+            detected = omp.omp_recover(op, y, max_iters=1).support[0]
+            hits += math.floor(2.0 * detected * grid.f_res / clock.f_s1) == math.floor(
+                2.0 * freq / clock.f_s1
+            )
+        fractions.append(hits / trials)
+    return np.array(fractions)
+
+
+class TestBatchedZoneTrials:
+    K_VALUES = [200, 800]
+    TRIALS = 24
+
+    def test_one_adjoint_per_block_of_trials(self, config, monkeypatch):
+        grid, clock = config
+        shapes = []
+
+        class CountingOp(SensingOperator):
+            def adjoint(self, y, out=None):
+                shapes.append(np.shape(y))
+                return super().adjoint(y, out=out)
+
+        monkeypatch.setattr(crb, "SensingOperator", CountingOp)
+        simulate_nz_trials(grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, seed=5)
+        block = omp._BATCH_POINTS // grid.n_points  # 10 rows at N = 10^5
+        widths = [block, block, self.TRIALS - 2 * block]  # ceil(trials / block) calls
+        assert shapes == [(k, w) for k in self.K_VALUES for w in widths]
+
+    def test_batch_equals_per_trial_pursuit(self, config):
+        grid, clock = config
+        args = (grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, 3)
+        got = simulate_nz_trials(*args)
+        assert got.tobytes() == per_trial_fractions(*args).tobytes()

@@ -425,6 +425,29 @@ class TestCli:
         assert "signal must be finite" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "experiment,ini_text,message",
+        [
+            ("spectrum", "[tones]\namplitudes = -1 1 1 1\n", "amplitude must be non-negative"),
+            ("spectrum", "[tones]\nfrequencies_hz = -5e8 2.5e9 4.5e9 6.5e9\n",
+             "frequency must be non-negative"),
+            ("recovery-sweep",
+             "[grid]\nn_points = 16384\n[clock]\nperiod_s = 1.6384e-6\n"
+             "[sweep]\nsparsity = 2\nsnr_db = 10\ntrials = 2\namplitude = -1\n",
+             "amplitude must be non-negative"),
+        ],
+        ids=["spectrum-amplitude", "spectrum-frequency", "recovery-sweep-amplitude"],
+    )
+    def test_negative_tone_parameter_exits_2(self, tmp_path, capsys, experiment, ini_text,
+                                             message):
+        ini = tmp_path / "negative.ini"
+        ini.write_text(ini_text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main([experiment, "--config", str(ini), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
+
     def test_tone_at_atomic_nyquist_exits_2(self, tmp_path, capsys):
         """Sampling makes no band check, so the runner rejects such a tone itself."""
         ini = tmp_path / "band.ini"
@@ -489,6 +512,31 @@ class TestCli:
         proc, _ = run("[clock]\nmodulation = sine\n[zones]\ntrials = 2\n", "sine")
         assert proc.returncode == 2
         assert "chirp-modulated clock" in proc.stderr
+
+    def test_benchmarked_runs_import_no_scipy(self, tmp_path):
+        """recovery-sweep and zone-id run on numpy alone: scipy stays unimported."""
+        src = str(Path(nyfold.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argvs = []
+        for experiment in ("recovery-sweep", "zone-id"):
+            ini = tmp_path / f"{experiment}.ini"
+            write_sections(ini, TINY_OVERRIDES[experiment])
+            argvs.append([experiment, "--config", str(ini), "--seed", "11",
+                          "--out", str(tmp_path / experiment)])
+        code = (
+            "import sys\n"
+            "import nyfold.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert nyfold.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        for experiment in ("recovery-sweep", "zone-id"):
+            assert (tmp_path / experiment / "results.csv").is_file()
 
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -76,6 +76,22 @@ class TestOmpRecover:
             rtol=1e-9,
         )
 
+    @pytest.mark.parametrize("max_iters", [1, 2, 5, 12])
+    def test_cholesky_step_matches_lstsq_to_1e_12(self, op, max_iters):
+        """The Cholesky factor and its two solves give the least-squares fit
+        on the selected atoms, on noise as well as on tones."""
+        rng = np.random.default_rng(max_iters)
+        k = op.k_measurements
+        tones = op.forward(SparseSpectrum(np.array([7, 250]), np.array([1.0, 0.3j])))
+        for y in (tones, np.zeros(k)):
+            y = y + rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            result = omp_recover(op, y, max_iters)
+            atoms = op.atoms(result.support)
+            oracle, *_ = np.linalg.lstsq(atoms, y, rcond=None)
+            assert_allclose(result.coefficients, oracle, rtol=0, atol=1e-12)
+            assert_allclose(result.residual_norm, np.linalg.norm(y - atoms @ oracle),
+                            rtol=1e-12)
+
     def test_selection_log_tracks_progress(self, op):
         bins = np.array([5, 200, 400])
         y = op.forward(SparseSpectrum(bins, np.array([3.0, 2.0, 1.0 + 0j])))

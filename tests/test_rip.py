@@ -152,6 +152,26 @@ class TestModulatedSpectra:
         assert other is not cached
         assert not np.array_equal(other, cached)
 
+    @pytest.mark.parametrize("n", [2**18, 10**5, 10**6, 3**9 * 5, 100_003])
+    def test_harmonic_spectra_are_scipy_ortho_bitwise(self, n):
+        """numpy.fft with scipy's long-double 1/sqrt(N) gives scipy's bits, for
+        the odd and the Bluestein size too."""
+        grid = TimeGrid(t_atom=1e-10, n_points=n)
+        clock = ClockConfig(2e8, LinearChirp(1e7, grid.duration / 3))
+        rng = np.random.default_rng(n)
+        k = 3
+        phase = k * _theta_on_grid(clock, grid)
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            # the product is written inline, as the package writes it: numpy may
+            # round a complex product differently when it reuses a temporary
+            expected = np.roll(
+                scipy.fft.fft(x * np.exp(1j * phase), norm="ortho"),
+                round(k * clock.f_s1 / grid.f_res),
+            )
+            assert kth_spectrum(x, k, clock, grid).tobytes() == expected.tobytes()
+        unit = rip._harmonic_spectrum(1.0, k, clock.modulation, grid)
+        assert unit.tobytes() == scipy.fft.fft(np.exp(1j * phase), norm="ortho").tobytes()
+
     def test_rejects_order_beyond_grid(self, setup):
         grid, clock = setup
         with pytest.raises(ValueError):

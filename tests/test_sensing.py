@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -242,6 +243,50 @@ class TestOperatorAlgebra:
             math.sqrt(chirped_op.k_measurements) * chirped_op.atom(j),
             rtol=1e-9,
         )
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# power of two, the benchmark grids, an odd radix-3/5 size and a prime that
+# pocketfft transforms by Bluestein's algorithm
+ORACLE_SIZES = [2**18, 10**5, 10**6, 3**9 * 5, 100_003]
+
+
+class TestScipyOracle:
+    """numpy.fft paths give scipy.fft's bits, sign bits of zeros included."""
+
+    @staticmethod
+    def random_operator(n):
+        rng = np.random.default_rng(n)
+        indices = np.sort(rng.choice(n, size=n // 40, replace=False))
+        grid = TimeGrid(t_atom=1e-10, n_points=n)
+        return SensingOperator(grid, SampleSchedule(indices, indices * grid.t_atom)), rng
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_adjoint_and_forward(self, n):
+        op, rng = self.random_operator(n)
+        k, indices = op.k_measurements, op.schedule.indices
+        y = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
+        rows = np.zeros((3, n), dtype=complex)
+        rows[:, indices] = y.T
+        want = (scipy.fft.fft(rows, axis=-1) * (1.0 / math.sqrt(k))).T
+        assert_same_bits(op.adjoint(y), want)
+        assert_same_bits(op.adjoint(y[:, 1]), np.ascontiguousarray(want[:, 1]))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert_same_bits(op.forward(x), scipy.fft.ifft(x)[indices] * (n / math.sqrt(k)))
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_point_spread(self, n):
+        op, _ = self.random_operator(n)
+        mask = np.zeros(n)
+        mask[op.schedule.indices] = 1.0
+        p = op.point_spread
+        assert_same_bits(p, scipy.fft.ifft(mask, norm="forward") / op.k_measurements)
+        # p[N - d] == conj(p[d]) exactly; at d = N/2 only the zero's sign differs
+        assert np.array_equal(p[:0:-1], p[1:].conj())
 
 
 class TestGramAndDeviation:
