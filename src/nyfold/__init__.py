@@ -30,7 +30,6 @@ from .signal_clock import (
     theta_rate,
 )
 from .sensing import (
-    DeviationReport,
     SensingOperator,
     SparseSpectrum,
     empirical_rip,
@@ -46,7 +45,6 @@ from .rip import (
     strip_failure_probability,
 )
 from .omp import (
-    DetectionBound,
     GramSingularError,
     RecoveryResult,
     detection_probability_bound,
@@ -80,7 +78,6 @@ __all__ = [
     "synthesize_signal",
     "theta_eval",
     "theta_rate",
-    "DeviationReport",
     "SensingOperator",
     "SparseSpectrum",
     "empirical_rip",
@@ -92,7 +89,6 @@ __all__ = [
     "omp_guarantee_threshold",
     "pairwise_deviation_bound",
     "strip_failure_probability",
-    "DetectionBound",
     "GramSingularError",
     "RecoveryResult",
     "detection_probability_bound",

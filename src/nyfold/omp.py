@@ -9,7 +9,7 @@ factors it as ``L L^H`` and two ``numpy.linalg.solve`` calls on ``L`` and
 raises rather than being silently regularized.
 
 Pursuit runs in lockstep over a batch of measurement rows: each iteration
-hands the residuals of all still-active rows to one ``(K, B)`` adjoint, so B
+hands the ``(B, K)`` residuals of all still-active rows to one adjoint, so B
 correlations cost one row-wise FFT call. Every row keeps its own support,
 Gram, Cholesky factor and log, and leaves the active set once its residual
 meets the tolerance (all-zero rows never enter it). Rows are processed in
@@ -62,17 +62,6 @@ class RecoveryResult:
     residual_norm: float
     iterations: int
     selection_log: list[tuple[int, float, float]]
-
-
-@dataclass(frozen=True)
-class DetectionBound:
-    """Lower bound on single-tone detection probability in white noise."""
-
-    k_measurements: int
-    n_bins: int
-    delta2: float
-    sigma2: float
-    p_lower: float
 
 
 def omp_recover(
@@ -154,7 +143,7 @@ def _omp_block(
     for _ in range(max_iters):
         if not active:
             break
-        correlations = op.adjoint(residuals[active].T, out=work[: len(active)].T).T
+        correlations = op.adjoint(residuals[active], out=work[: len(active)])
         still_active = []
         for r, correlation in zip(active, correlations):
             support = supports[r]
@@ -164,7 +153,7 @@ def _omp_block(
             bin_j = int(np.argmax(magnitude))  # argmax takes the lowest bin on ties
             corr_mag = float(magnitude[bin_j])
 
-            atom = op.atom(bin_j)
+            atom = op.atoms([bin_j])[:, 0]
             i = len(support)
             if i:
                 cross = selected[r, :, :i].conj().T @ atom
@@ -225,9 +214,7 @@ def score_recovery(
     return all(m is not None for m in matched), matched
 
 
-def detection_probability_bound(
-    k: int, n: int, delta2: float, sigma2: float
-) -> DetectionBound:
+def detection_probability_bound(k: int, n: int, delta2: float, sigma2: float) -> float:
     """Lower-bound the probability that a single tone's bin wins the correlation.
 
     p >= [1 - exp(-K (1 - delta_2)^2 / (4 sigma^2))]^N, evaluated in the log
@@ -241,8 +228,6 @@ def detection_probability_bound(
         raise ValueError("sigma2 must be positive")
     exponent = k * (1.0 - delta2) ** 2 / (4.0 * sigma2)
     if exponent == 0.0:
-        p = 0.0
-    else:
-        inner = -math.exp(-exponent)
-        p = 0.0 if inner <= -1.0 else math.exp(n * math.log1p(inner))
-    return DetectionBound(k, n, delta2, sigma2, p)
+        return 0.0
+    inner = -math.exp(-exponent)
+    return 0.0 if inner <= -1.0 else math.exp(n * math.log1p(inner))

@@ -7,19 +7,17 @@ rows indexed by the sample schedule. Column j of ``Phi`` is the unit-norm atom
 index. ``Phi* Phi`` is circulant: Gram entry ``<a_i, a_j>`` is ``p[(j - i) mod N]``,
 read from the schedule's point-spread function ``p``, one FFT of the sample mask.
 
-The adjoint follows the plain ``A^H @ Y`` convention: a ``(K,)`` measurement
-vector gives an ``(N,)`` correlation, and a ``(K, B)`` stack of B measurement
-columns gives ``(N, B)``. The B columns are transformed together, as the rows
-of one ``(B, N)`` buffer, by a single ``numpy.fft.fft`` call; each row is
-bitwise equal to transforming that column on its own.
+The adjoint batches along the last axis, as ``numpy.fft`` does: a ``(K,)``
+measurement vector gives an ``(N,)`` correlation, and a ``(B, K)`` stack of B
+measurement rows gives ``(B, N)``, transformed by a single row-wise
+``numpy.fft.fft`` call; each row is bitwise equal to transforming it alone.
 
-``adjoint(y, out=...)`` follows the numpy ``out`` convention: ``out`` has the
-result's shape and dtype complex128, and its transpose is C-contiguous, so the
-``(B, N)`` rows the FFT transforms are the caller's memory. The call zeroes
-``out``, scatters ``y`` into it, transforms it there (``numpy.fft``'s own
-``out=``), scales it in place and returns it; the values are bitwise those of
-the allocating call. A caller that runs many adjoints of the same width, as
-OMP does, reuses one buffer instead of allocating and zero-filling a fresh
+``adjoint(y, out=...)`` follows the numpy ``out`` convention: ``out`` is a
+C-contiguous complex128 array of the result's shape. The call zeroes it,
+scatters ``y`` into it, transforms it there (``numpy.fft``'s own ``out=``),
+scales it in place and returns it; the values are bitwise those of the
+allocating call. A caller that runs many adjoints of the same width, as OMP
+does, reuses one buffer instead of allocating and zero-filling a fresh
 ``(B, N)`` array each time.
 """
 
@@ -70,27 +68,6 @@ class SparseSpectrum:
         return dense
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    """Monte Carlo record of restricted spectral-norm deviations at one sparsity."""
-
-    sparsity: int
-    deviations: np.ndarray
-
-    def __post_init__(self) -> None:
-        deviations = np.asarray(self.deviations, dtype=float)
-        object.__setattr__(self, "deviations", deviations)
-        if len(deviations) == 0:
-            raise ValueError("report needs at least one trial")
-
-    @property
-    def max_deviation(self) -> float:
-        return float(self.deviations.max())
-
-    def percentile(self, q: float) -> float:
-        return float(np.percentile(self.deviations, q))
-
-
 class SensingOperator:
     """K x N partial inverse-DFT operator defined by a sample schedule."""
 
@@ -132,9 +109,6 @@ class SensingOperator:
         phase = np.outer(self.schedule.indices, bins) % self.n_bins
         return np.exp((2j * math.pi / self.n_bins) * phase) / math.sqrt(self.k_measurements)
 
-    def atom(self, j: int) -> np.ndarray:
-        return self.atoms([j])[:, 0]
-
     def forward(self, x) -> np.ndarray:
         """Apply Phi. Accepts a SparseSpectrum or a dense length-N vector."""
         if isinstance(x, SparseSpectrum):  # to_dense refuses bins beyond N
@@ -154,37 +128,33 @@ class SensingOperator:
     def adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply Phi*: correlate measurements against every atom.
 
-        ``y`` of shape (K,) gives (N,); (K, B) gives (N, B), one column per
-        measurement column, all computed by one row-wise FFT. ``out``, if
-        given, receives the result and is returned (see the module docstring);
-        it must not overlap ``y``.
+        ``y`` of shape (K,) gives (N,); (B, K) gives (B, N), one row per
+        measurement row, all computed by one row-wise FFT. ``out``, if given,
+        receives the result and is returned (see the module docstring); it
+        must not overlap ``y``.
         """
         y = np.asarray(y)
-        if y.ndim not in (1, 2) or y.shape[0] != self.k_measurements:
-            raise ValueError("measurements must have shape (K,) or (K, B)")
+        if y.ndim not in (1, 2) or y.shape[-1] != self.k_measurements:
+            raise ValueError("measurements must have shape (K,) or (B, K)")
         if not np.isfinite(y).all():
             raise ValueError("measurements must be finite")
-        shape = (self.n_bins,) + y.shape[1:]
+        shape = y.shape[:-1] + (self.n_bins,)
         if out is None:
-            out = np.zeros(shape[::-1], dtype=complex).T
+            out = np.zeros(shape, dtype=complex)
         elif not (
             isinstance(out, np.ndarray)
             and out.shape == shape
             and out.dtype == np.complex128
-            and out.T.flags.c_contiguous
+            and out.flags.c_contiguous
         ):
-            raise ValueError(
-                f"out must be a complex128 array of shape {shape} "
-                "whose transpose is C-contiguous"
-            )
+            raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}")
         else:
             out.fill(0.0)
-        rows = out.T.reshape(-1, self.n_bins)  # a view: the transpose is C-contiguous
-        rows[:, self.schedule.indices] = y.T  # schedule indices are strictly increasing
-        np.fft.fft(rows, axis=-1, out=rows)
+        out[..., self.schedule.indices] = y  # schedule indices are strictly increasing
+        np.fft.fft(out, axis=-1, out=out)
         # numpy divides complex by a real as a product with the reciprocal, so
         # this equals dividing by sqrt(K) up to the sign of zeros, ~6x faster
-        rows *= 1.0 / math.sqrt(self.k_measurements)
+        out *= 1.0 / math.sqrt(self.k_measurements)
         return out
 
     def gram_matrix(self, support: Sequence[int]) -> np.ndarray:
@@ -229,14 +199,13 @@ class SensingOperator:
         return abs(float(np.linalg.norm(c)) / x_norm - 1.0)
 
 
-def empirical_rip(
-    op: SensingOperator, sparsity: int, trials: int, seed: int
-) -> DeviationReport:
+def empirical_rip(op: SensingOperator, sparsity: int, trials: int, seed: int) -> np.ndarray:
     """Sample spectral_norm_deviation over random supports and Gaussian weights.
 
-    Trial t draws its own generator seeded ``seed + t``, so any subset of
-    trials can be reproduced independently of execution order. Supports are
-    uniform without replacement; weights are standard circular complex Gaussian.
+    Returns the ``trials`` deviations in trial order. Trial t draws its own
+    generator seeded ``seed + t``, so any subset of trials can be reproduced
+    independently of execution order. Supports are uniform without
+    replacement; weights are standard circular complex Gaussian.
     """
     if not (1 <= sparsity <= op.n_bins):
         raise ValueError("sparsity out of range")
@@ -251,4 +220,4 @@ def empirical_rip(
             rng.standard_normal(sparsity) + 1j * rng.standard_normal(sparsity)
         ) / math.sqrt(2.0)
         deviations[t] = op.spectral_norm_deviation(SparseSpectrum(bins, coeff))
-    return DeviationReport(sparsity=sparsity, deviations=deviations)
+    return deviations

@@ -300,10 +300,10 @@ def sample_tones(tones: Sequence[ToneSpec], times: np.ndarray) -> np.ndarray:
     """Sum of complex tones ``A exp(j (2 pi f t + phase))`` at the given times.
 
     Every experiment calls it at the schedule's sample times only (``indices
-    * t_atom``); the real part is the cosine signal. Complex-mode
-    ``synthesize_signal`` calls it on the whole grid, so the two agree
-    bitwise at the schedule indices. No band check is made: a caller that
-    needs tones below ``f_atomic / 2`` checks them itself.
+    * t_atom``); the real part is the cosine signal. ``synthesize_signal``
+    calls it on the whole grid, so the two agree bitwise at the schedule
+    indices. No band check is made: a caller that needs tones below
+    ``f_atomic / 2`` checks them itself.
     """
     out = np.zeros(len(times), dtype=complex)
     for tone in tones:
@@ -314,11 +314,10 @@ def sample_tones(tones: Sequence[ToneSpec], times: np.ndarray) -> np.ndarray:
 def synthesize_signal(
     tones: Sequence[ToneSpec], grid: TimeGrid, complex_mode: bool = True
 ) -> np.ndarray:
-    """Sum of tones evaluated on the atomic grid.
+    """Sum of tones evaluated on the atomic grid: ``sample_tones`` at every grid
+    time, or its real part (the cosine signal) with ``complex_mode=False``.
 
-    In complex mode each tone is ``A exp(j (2 pi f t + phase))`` (see
-    ``sample_tones``); in real mode a cosine. Tones at or above
-    ``f_atomic / 2`` are rejected as unrepresentable.
+    Tones at or above ``f_atomic / 2`` are rejected as unrepresentable.
     """
     half = grid.f_atomic / 2.0
     for tone in tones:
@@ -326,13 +325,8 @@ def synthesize_signal(
             raise ValueError(
                 f"tone at {tone.frequency:g} Hz is at or above f_atomic/2 = {half:g} Hz"
             )
-    t = grid.times()
-    if complex_mode:
-        return sample_tones(tones, t)
-    out = np.zeros(grid.n_points, dtype=float)
-    for tone in tones:
-        out += tone.amplitude * np.cos(TWO_PI * tone.frequency * t + tone.phase)
-    return out
+    signal = sample_tones(tones, grid.times())
+    return signal if complex_mode else signal.real
 
 
 def add_noise(signal: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

@@ -220,7 +220,7 @@ class TestBatchedZoneTrials:
         simulate_nz_trials(grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, seed=5)
         block = omp._BATCH_POINTS // grid.n_points  # 10 rows at N = 10^5
         widths = [block, block, self.TRIALS - 2 * block]  # ceil(trials / block) calls
-        assert shapes == [(k, w) for k in self.K_VALUES for w in widths]
+        assert shapes == [(w, k) for k in self.K_VALUES for w in widths]
 
     def test_batch_equals_per_trial_pursuit(self, config):
         grid, clock = config

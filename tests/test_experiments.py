@@ -9,6 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import ShortTimeFFT
+from scipy.signal.windows import hann
 
 import nyfold
 from nyfold import cli, crb, omp, signal_clock, svgplot
@@ -21,6 +25,7 @@ from nyfold.experiments import (
     _build_clock,
     _build_grid,
     _int_range,
+    _spectrogram_table,
     default_config,
     fanout_seed,
     load_config_file,
@@ -348,6 +353,73 @@ def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment,section,key,value",
+    [
+        ("recovery-sweep", "sweep", "trials", "0"),
+        ("recovery-sweep", "sweep", "sparsity", "0 3"),
+        ("recovery-sweep", "sweep", "tol_bins", "-1"),
+        ("recovery-sweep", "sweep", "min_separation_bins", "1e9"),
+        ("zone-id", "zones", "trials", "0"),
+        ("zone-id", "zones", "n_zones", "0"),
+        ("zone-id", "zones", "k_max", "0"),
+        ("zone-id", "zones", "k_values", "0 100"),
+        ("deviation-sweep", "sweep", "trials", "0"),
+        ("deviation-sweep", "sweep", "sparsity", "0 200"),
+        ("deviation-sweep", "sweep", "sparsity", "0:400:200"),
+        ("mod-constant", "estimate", "k_max", "0"),
+        ("mod-constant", "estimate", "sparsity_for_bound", "0"),
+        ("strip-table", "strip", "k_measurements", "0"),
+        ("strip-table", "strip", "n_bins", "3"),
+        ("strip-table", "strip", "tolerances", "0 0.1"),
+        ("strip-table", "strip", "delta", "1"),
+        ("spectrum", "spectrum", "stft_window", "40000"),
+    ],
+)
+def test_out_of_range_config_value_exits_2(experiment, section, key, value, tmp_path, capsys):
+    """A value outside its key's range is refused as [section] key, before any output."""
+    sections = {name: dict(keys) for name, keys in TINY_OVERRIDES[experiment].items()}
+    sections.setdefault(section, {})[key] = value
+    ini = tmp_path / "range.ini"
+    write_sections(ini, sections)
+    out = tmp_path / "o"
+    assert cli.main([experiment, "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"[{section}] {key}" in err
+    assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window=st.integers(min_value=8, max_value=300),
+    hop_fraction=st.floats(min_value=0.0, max_value=2.0),
+    extra=st.integers(min_value=0, max_value=1500),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t_atom=st.sampled_from([1e-11, 1e-10, 1.0, 0.37]),
+)
+def test_spectrogram_matches_scipy_short_time_fft(window, hop_fraction, extra, seed, t_atom):
+    """The numpy STFT gives the CSV that scipy.signal.ShortTimeFFT gives, bit for bit."""
+    hop = max(1, round(hop_fraction * window))
+    n = (window + 1) // 2 + extra  # ShortTimeFFT needs n >= ceil(window / 2)
+    rng = np.random.default_rng(seed)
+    indices = np.sort(rng.choice(n, size=max(1, n // 5), replace=False))
+    samples = rng.standard_normal(len(indices))
+    grid = signal_clock.TimeGrid(t_atom, n)
+    clock = signal_clock.ClockConfig(grid.f_atomic * rng.uniform(0.1, 1.2))
+    schedule = signal_clock.SampleSchedule(indices, indices * t_atom)
+    config = {"spectrum": {"stft_window": str(window), "stft_hop": str(hop)}}
+    got = _spectrogram_table(samples, schedule, grid, clock, config)
+
+    z = np.zeros(n)
+    z[indices] = samples
+    stft = ShortTimeFFT(hann(window, sym=False), hop=hop, fs=grid.f_atomic)
+    magnitude = np.abs(stft.stft(z))
+    want = [["freq_hz"] + [repr(float(t)) for t in stft.t(n)]]
+    for fi in np.nonzero(stft.f <= clock.f_s1 / 2.0)[0]:
+        want.append([repr(float(stft.f[fi]))] + [repr(float(v)) for v in magnitude[fi]])
+    assert got == want
+
+
 class TestCli:
     def test_strip_table_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -514,12 +586,12 @@ class TestCli:
         assert "chirp-modulated clock" in proc.stderr
 
     def test_benchmarked_runs_import_no_scipy(self, tmp_path):
-        """recovery-sweep and zone-id run on numpy alone: scipy stays unimported."""
+        """Every experiment runs on numpy alone: scipy stays unimported."""
         src = str(Path(nyfold.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         argvs = []
-        for experiment in ("recovery-sweep", "zone-id"):
+        for experiment in EXPERIMENTS:
             ini = tmp_path / f"{experiment}.ini"
             write_sections(ini, TINY_OVERRIDES[experiment])
             argvs.append([experiment, "--config", str(ini), "--seed", "11",
@@ -535,7 +607,7 @@ class TestCli:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
-        for experiment in ("recovery-sweep", "zone-id"):
+        for experiment in EXPERIMENTS:
             assert (tmp_path / experiment / "results.csv").is_file()
 
     def test_unknown_experiment_rejected_by_parser(self):

@@ -1,7 +1,8 @@
 """Tests for the package's public name list."""
 
 import nyfold
-from nyfold import rip, signal_clock
+from nyfold import omp, rip, sensing, signal_clock
+from nyfold.sensing import SensingOperator
 
 REMOVED = {
     "folded_spectrum": signal_clock,
@@ -9,6 +10,9 @@ REMOVED = {
     "zone_for_modulation_index": signal_clock,
     "strip_result": rip,
     "StripResult": rip,
+    "DeviationReport": sensing,
+    "DetectionBound": omp,
+    "atom": SensingOperator,
 }
 
 

@@ -230,7 +230,8 @@ class TestSynthesisAndNoise:
     )
     def test_sample_tones_equals_synthesis_at_schedule(self, n_points, t_atom, tones, picks):
         """Sampling the tones at the schedule times is bitwise the grid signal
-        there, and its real part is bitwise the real-mode (cosine) signal."""
+        there, and its real part is bitwise the real-mode signal and a sum of
+        cosines."""
         grid = TimeGrid(t_atom, n_points)
         specs = [ToneSpec(f * grid.f_atomic, a, p) for f, a, p in tones]
         indices = np.array(sorted({i % n_points for i in picks}), dtype=np.int64)
@@ -239,6 +240,12 @@ class TestSynthesisAndNoise:
         assert np.array_equal(sampled, synthesize_signal(specs, grid)[schedule.indices])
         real = synthesize_signal(specs, grid, complex_mode=False)[schedule.indices]
         assert np.array_equal(sampled.real, real)
+        cosines = np.zeros(len(indices))
+        for spec in specs:
+            cosines += spec.amplitude * np.cos(
+                2 * math.pi * spec.frequency * (indices * t_atom) + spec.phase
+            )
+        assert np.array_equal(sampled.real, cosines)
 
     def test_rejects_tone_beyond_atomic_nyquist(self):
         grid = TimeGrid(t_atom=1e-3, n_points=64)
