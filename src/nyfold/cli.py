@@ -40,9 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="INI file overriding preset values (unknown keys are rejected)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="master seed (default from preset)"
-    )
+    parser.add_argument("--seed", type=int, default=1234567, help="master seed")
     parser.add_argument(
         "--out",
         metavar="DIR",
@@ -67,14 +65,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         overrides = load_config_file(args.config) if args.config else {}
         config = resolve_config(args.experiment, args.scale, overrides)
-        seed = args.seed if args.seed is not None else int(config["run"]["seed"])
     except (ConfigError, ValueError) as exc:
         print(f"nyfold: config error: {exc}", file=sys.stderr)
         return 2
 
     runner = RUNNERS[args.experiment]
     try:
-        manifest = runner(config, seed, args.scale)
+        manifest = runner(config, args.seed, args.scale)
     except ConfigError as exc:
         print(f"nyfold: config error: {exc}", file=sys.stderr)
         return 2
@@ -88,7 +85,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"nyfold: cannot write outputs: {exc}", file=sys.stderr)
         return 2
-    print(f"{args.experiment} ({args.scale} scale, seed {seed}): "
+    print(f"{args.experiment} ({args.scale} scale, seed {args.seed}): "
           f"{len(manifest.records)} records in {manifest.wall_clock_s:.2f}s")
     for key, value in manifest.notes.items():
         print(f"  {key} = {value}")

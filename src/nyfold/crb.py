@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,29 +108,17 @@ def quartic_power_sum(k: int) -> int:
     return k * (k + 1) * (2 * k + 1) * (3 * k * k + 3 * k - 1) // 30
 
 
-def nz_probability_from_crb(
-    model: ChirpModel,
-    slope_spacing: float,
-    n_zones: int,
-    zone: Optional[int] = None,
-) -> float:
+def nz_probability_from_crb(model: ChirpModel, slope_spacing: float) -> float:
     """Zone-identification probability of a CRB-attaining rate estimator.
 
     The estimate is modeled Gaussian and unbiased with the CRB variance; the
     zone is read correctly when the estimate lands within half a slope spacing
-    of the truth. Interior zones get the central two-sided probability; the
-    outermost zones (``zone`` equal to 0 or n_zones - 1) have competitors on
-    one side only and get the one-sided probability.
+    of the truth on either side: the central two-sided probability of an
+    interior zone, which has competing zones above and below.
     """
     if slope_spacing <= 0.0:
         raise ValueError("slope_spacing must be positive")
-    if n_zones < 1:
-        raise ValueError("n_zones must be at least 1")
-    if zone is not None and not (0 <= zone < n_zones):
-        raise ValueError("zone out of range")
     d = slope_spacing / (2.0 * math.sqrt(crb_variance(model)))
-    if zone is not None and n_zones >= 2 and zone in (0, n_zones - 1):
-        return 0.5 * (1.0 + math.erf(d / math.sqrt(2.0)))
     return math.erf(d / math.sqrt(2.0))
 
 

@@ -10,8 +10,9 @@ seed, the experiment id, and the sweep/trial position, so execution order is
 immaterial.
 
 An experiment is data: one ``PRESETS`` entry, and one ``SPECS`` entry naming
-its body function, CSV columns and plot. ``_run`` times the body and builds
-the manifest for every experiment alike.
+its body function and plot. The body's record keys, in order, are the CSV
+columns. ``_run`` times the body and builds the manifest for every experiment
+alike.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .signal_clock import (
     TimeGrid,
     ToneSpec,
     add_noise,
+    check_tone_band,
     compute_sample_schedule,
     fold_tone,
     sample_tones,
@@ -177,7 +179,7 @@ PRESETS: dict[str, dict[str, dict]] = {
         "grid": {"t_atom_s": "1e-10", "n_points": _N_POINTS},
         "clock": {**_CHIRP_200MHZ, "period_s": ("1e-4", "2.62144e-5")},
         "sweep": {"sparsity": "3:60:3", "snr_db": "20 10 0", "trials": "50", "tol_bins": "1",
-                  "min_separation_bins": "2.5", "amplitude": "1.0"},
+                  "min_separation_bins": "2.5"},
     },
     "zone-id": {
         "grid": {"t_atom_s": "1e-10", "n_points": "100000"},
@@ -202,7 +204,7 @@ def default_config(experiment: str, scale: str) -> dict[str, dict[str, str]]:
     if scale not in SCALES:
         raise ConfigError(f"unknown scale {scale!r}")
     pick = SCALES.index(scale)
-    config = {"run": {"seed": "1234567"}}
+    config = {}
     for section, keys in PRESETS[experiment].items():
         config[section] = {
             key: value if isinstance(value, str) else value[pick]
@@ -364,7 +366,8 @@ def _mod_constant(config, seed: int):
         "delta2_bound": repr(delta2),
         f"delta{s_bound}_bound": repr(delta_s),
         "guaranteed_sparsity_convex": str(guaranteed_sparsity_convex(delta2)),
-        "band_definition": constant.band_definition,
+        "band_definition": "contiguous bins swept by the instantaneous frequency "
+                           "k*theta'/(2*pi), width k*f_dev",
     }
     return records, notes
 
@@ -382,14 +385,9 @@ def _spectrum(config, seed: int):
         raise ConfigError(f"signal_mode must be real or complex, got {mode!r}")
     try:
         tones = [ToneSpec(f, a, p) for f, a, p in zip(freqs, amps, phases)]
+        check_tone_band(tones, grid)
     except ValueError as exc:
         raise ConfigError(f"invalid tone: {exc}") from exc
-    half = grid.f_atomic / 2.0
-    for tone in tones:
-        if tone.frequency >= half:
-            raise ConfigError(
-                f"tone at {tone.frequency:g} Hz is at or above f_atomic/2 = {half:g} Hz"
-            )
 
     # the folded spectrum is the operator's adjoint of the K samples, rescaled
     # to the unitary N-point DFT of the zero-filled sample train
@@ -449,7 +447,7 @@ def _spectrogram_table(samples, schedule, grid, clock, config) -> list[list[str]
     return rows
 
 
-def _draw_tones(rng, sparsity, f_res, band, min_sep_bins, amplitude) -> list[ToneSpec]:
+def _draw_tones(rng, sparsity, f_res, band, min_sep_bins) -> list[ToneSpec]:
     lo, hi = band
     min_sep = min_sep_bins * f_res
     freqs: list[float] = []
@@ -464,10 +462,7 @@ def _draw_tones(rng, sparsity, f_res, band, min_sep_bins, amplitude) -> list[Ton
                 f"[sweep] min_separation_bins = {min_sep_bins!r} leaves no room "
                 f"for {sparsity} tones in the band"
             )
-    try:
-        return [ToneSpec(f, amplitude, rng.uniform(0.0, 2.0 * math.pi)) for f in freqs]
-    except ValueError as exc:
-        raise ConfigError(f"invalid tone: {exc}") from exc
+    return [ToneSpec(f, 1.0, rng.uniform(0.0, 2.0 * math.pi)) for f in freqs]
 
 
 def _recovery_sweep(config, seed: int):
@@ -478,9 +473,13 @@ def _recovery_sweep(config, seed: int):
     trials = _int(config, "sweep", "trials", minimum=1)
     tol_bins = _int(config, "sweep", "tol_bins", minimum=0)
     min_sep = _float(config, "sweep", "min_separation_bins")
-    amplitude = _float(config, "sweep", "amplitude")
+    if any(math.isnan(v) or v == -math.inf for v in snrs):
+        raise ConfigError("[sweep] snr_db must be a number or inf, not nan or -inf")
 
     schedule = compute_sample_schedule(clock, grid)
+    if max(sparsities) > schedule.size:
+        raise ConfigError(f"[sweep] sparsity = {max(sparsities)} exceeds the "
+                          f"schedule's {schedule.size} samples")
     op = SensingOperator(grid, schedule)
     sample_times = schedule.indices * grid.t_atom
     band = (2.0 * grid.f_res, grid.f_atomic / 2.0 - 2.0 * grid.f_res)
@@ -495,7 +494,7 @@ def _recovery_sweep(config, seed: int):
                 rng = np.random.default_rng(
                     fanout_seed(seed, "recovery-sweep", point, trial)
                 )
-                tones = _draw_tones(rng, s, grid.f_res, band, min_sep, amplitude)
+                tones = _draw_tones(rng, s, grid.f_res, band, min_sep)
                 clean = sample_tones(tones, sample_times)
                 measurements[trial] = add_noise(clean, snr_db, seed=int(rng.integers(2**63)))
                 truths.append(tones)
@@ -561,7 +560,7 @@ def _zone_id(config, seed: int):
             count=int(k),
             noise_variance=sigma2,
         )
-        crb_p = nz_probability_from_crb(model, slope_spacing, n_zones)
+        crb_p = nz_probability_from_crb(model, slope_spacing)
         bound = detection_probability_bound(int(k), grid.n_points, delta2, sigma2)
         fraction = float(empirical[ki])
         records.append(
@@ -598,6 +597,9 @@ def _deviation_sweep(config, seed: int):
     if len(set(sparsities)) < 2:
         raise ConfigError("[sweep] sparsity needs two or more distinct values "
                           "to fit the deviation slope")
+    if max(sparsities) > grid.n_points:
+        raise ConfigError(f"[sweep] sparsity = {max(sparsities)} exceeds the "
+                          f"grid's {grid.n_points} points")
 
     records = []
     notes: dict[str, str] = {}
@@ -663,42 +665,36 @@ class Plot:
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: ``body(config, seed)`` returns ``(records, notes)`` or
-    ``(records, notes, extra_tables)``; ``fieldnames`` are the CSV columns."""
+    ``(records, notes, extra_tables)``, with at least one record; the first
+    record's keys, in order, are the CSV columns."""
 
     body: Callable
-    fieldnames: tuple[str, ...]
     plot: Plot
 
 
 SPECS: dict[str, Experiment] = {
     "strip-table": Experiment(
         _strip_table,
-        ("tolerance", "max_sparsity", "bound_at_doubled_support"),
         Plot("Recoverable sparsity vs failure tolerance", "tolerance",
              "failure tolerance", "max sparsity", (("max sparsity", "max_sparsity"),)),
     ),
     "mod-constant": Experiment(
         _mod_constant,
-        ("k", "c_k"),
         Plot("Modulation constant per harmonic scaling", "k", "k", "C_k",
              (("C_k", "c_k"),)),
     ),
     "spectrum": Experiment(
         _spectrum,
-        ("frequency_hz", "magnitude"),
         Plot("Folded magnitude spectrum", "frequency_hz", "frequency (Hz)", "magnitude",
              (("magnitude", "magnitude"),)),
     ),
     "recovery-sweep": Experiment(
         _recovery_sweep,
-        ("sparsity", "snr_db", "trials", "failures", "failure_fraction", "standard_error"),
         Plot("Recovery failure vs sparsity", "sparsity", "tones", "failure fraction",
              (("{:g} dB", "failure_fraction"),), group="snr_db", descending=True),
     ),
     "zone-id": Experiment(
         _zone_id,
-        ("k_samples", "theorem_lower_bound", "crb_probability", "empirical_probability",
-         "successes", "trials", "standard_error"),
         Plot("Zone identification probability vs sample count", "k_samples", "samples",
              "probability",
              (("CRB ceiling", "crb_probability"),
@@ -707,8 +703,6 @@ SPECS: dict[str, Experiment] = {
     ),
     "deviation-sweep": Experiment(
         _deviation_sweep,
-        ("f_dev_hz", "sparsity", "trials", "max_deviation", "p95_deviation",
-         "mean_deviation"),
         Plot("Max isometry deviation vs sparsity", "sparsity", "tones", "max deviation",
              (("f_dev {:g}", "max_deviation"),), group="f_dev_hz"),
     ),
@@ -726,7 +720,7 @@ def _run(experiment: str, config, seed: int, scale: str) -> ResultManifest:
         scale=scale,
         seed=seed,
         config=config,
-        fieldnames=list(spec.fieldnames),
+        fieldnames=list(records[0]),
         records=records,
         notes=notes,
         extra_tables=extra[0] if extra else {},

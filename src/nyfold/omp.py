@@ -54,14 +54,22 @@ class RecoveryResult:
     """OMP output: support bins, LS coefficients, and the per-iteration log.
 
     selection_log holds one (bin, correlation magnitude, residual norm) triple
-    per iteration, in selection order.
+    per iteration, in selection order. Each iteration adds one support bin;
+    residual_norm is the last logged one, and 0 for an all-zero row, the only
+    row that takes no iteration.
     """
 
     support: list[int]
     coefficients: np.ndarray
-    residual_norm: float
-    iterations: int
     selection_log: list[tuple[int, float, float]]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.support)
+
+    @property
+    def residual_norm(self) -> float:
+        return self.selection_log[-1][2] if self.selection_log else 0.0
 
 
 def omp_recover(
@@ -133,7 +141,6 @@ def _omp_block(
     supports: list[list[int]] = [[] for _ in range(b)]
     logs: list[list[tuple[int, float, float]]] = [[] for _ in range(b)]
     coefficients = [np.zeros(0, dtype=complex) for _ in range(b)]
-    residual_norms = list(y_norms)
     residuals = Y.copy()
     active = [r for r in range(b) if y_norms[r] != 0.0]
     # one adjoint workspace for the block; rows that leave shrink the slice
@@ -172,16 +179,13 @@ def _omp_block(
             coefficients[r] = np.linalg.solve(factor.conj().T, half_solved)
 
             residuals[r] = Y[r] - selected[r, :, : i + 1] @ coefficients[r]
-            residual_norms[r] = float(np.linalg.norm(residuals[r]))
-            logs[r].append((bin_j, corr_mag, residual_norms[r]))
-            if residual_norms[r] > residual_tol * y_norms[r]:
+            residual_norm = float(np.linalg.norm(residuals[r]))
+            logs[r].append((bin_j, corr_mag, residual_norm))
+            if residual_norm > residual_tol * y_norms[r]:
                 still_active.append(r)
         active = still_active
 
-    return [
-        RecoveryResult(supports[r], coefficients[r], residual_norms[r], len(supports[r]), logs[r])
-        for r in range(b)
-    ]
+    return [RecoveryResult(supports[r], coefficients[r], logs[r]) for r in range(b)]
 
 
 def score_recovery(

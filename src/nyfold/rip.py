@@ -36,17 +36,15 @@ SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 class ModulationConstant:
     """Peak-to-band-energy constant of the modulation exponential.
 
-    c_value is the maximum over harmonic scalings k in k_range of
+    per_k[k - 1] holds, for harmonic scaling k = 1, 2, ...,
 
         C_k = sqrt( max_w |G_k(w)|^2 * k * f_dev / (f_res * sum_band |G_k|^2) )
 
     where G_k is the unitary DFT of exp(j k theta(t)) and the band is the
-    contiguous bin interval swept by the instantaneous frequency k theta'/2pi.
+    contiguous bin interval swept by the instantaneous frequency k theta'/2pi,
+    width k f_dev. c_value is the maximum over k.
     """
 
-    c_value: float
-    k_range: tuple[int, int]
-    band_definition: str
     per_k: np.ndarray
 
     def __post_init__(self) -> None:
@@ -54,6 +52,10 @@ class ModulationConstant:
         object.__setattr__(self, "per_k", per_k)
         if not math.isfinite(self.c_value) or self.c_value <= 0.0:
             raise ValueError("c_value must be positive and finite")
+
+    @property
+    def c_value(self) -> float:
+        return float(self.per_k.max())
 
 
 def strip_failure_probability(n: int, k: int, s: int, delta: float) -> float:
@@ -159,15 +161,7 @@ def estimate_modulation_constant(
         band = np.arange(lo, hi + 1) % n
         band_energy = float(g2[band].sum())
         per_k[k - 1] = math.sqrt(float(g2.max()) * k * f_dev / (f_res * band_energy))
-    return ModulationConstant(
-        c_value=float(per_k.max()),
-        k_range=(1, k_max),
-        band_definition=(
-            "contiguous bins swept by the instantaneous frequency k*theta'/(2*pi), "
-            "width k*f_dev"
-        ),
-        per_k=per_k,
-    )
+    return ModulationConstant(per_k)
 
 
 def pairwise_deviation_bound(

@@ -303,7 +303,7 @@ def sample_tones(tones: Sequence[ToneSpec], times: np.ndarray) -> np.ndarray:
     * t_atom``); the real part is the cosine signal. ``synthesize_signal``
     calls it on the whole grid, so the two agree bitwise at the schedule
     indices. No band check is made: a caller that needs tones below
-    ``f_atomic / 2`` checks them itself.
+    ``f_atomic / 2`` calls ``check_tone_band``.
     """
     out = np.zeros(len(times), dtype=complex)
     for tone in tones:
@@ -311,22 +311,21 @@ def sample_tones(tones: Sequence[ToneSpec], times: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthesize_signal(
-    tones: Sequence[ToneSpec], grid: TimeGrid, complex_mode: bool = True
-) -> np.ndarray:
-    """Sum of tones evaluated on the atomic grid: ``sample_tones`` at every grid
-    time, or its real part (the cosine signal) with ``complex_mode=False``.
-
-    Tones at or above ``f_atomic / 2`` are rejected as unrepresentable.
-    """
+def check_tone_band(tones: Sequence[ToneSpec], grid: TimeGrid) -> None:
+    """Reject tones at or above ``f_atomic / 2`` as unrepresentable on the grid."""
     half = grid.f_atomic / 2.0
     for tone in tones:
         if tone.frequency >= half:
             raise ValueError(
                 f"tone at {tone.frequency:g} Hz is at or above f_atomic/2 = {half:g} Hz"
             )
-    signal = sample_tones(tones, grid.times())
-    return signal if complex_mode else signal.real
+
+
+def synthesize_signal(tones: Sequence[ToneSpec], grid: TimeGrid) -> np.ndarray:
+    """``sample_tones`` at every time of the atomic grid; its real part is the
+    cosine signal. Tones at or above ``f_atomic / 2`` are rejected."""
+    check_tone_band(tones, grid)
+    return sample_tones(tones, grid.times())
 
 
 def add_noise(signal: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

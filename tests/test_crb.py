@@ -111,36 +111,21 @@ class TestZoneProbability:
 
     def test_interior_zone_uses_two_sided_window(self):
         model = self._model(500)
-        p = nz_probability_from_crb(model, slope_spacing=1e12, n_zones=20)
+        p = nz_probability_from_crb(model, slope_spacing=1e12)
         sigma = math.sqrt(crb_variance(model))
         d = 1e12 / (2.0 * sigma)
         assert_allclose(p, erf(d / math.sqrt(2.0)), rtol=1e-12)
 
-    def test_edge_zone_is_one_sided(self):
-        model = self._model(300)
-        interior = nz_probability_from_crb(model, 1e12, 20)
-        low_edge = nz_probability_from_crb(model, 1e12, 20, zone=0)
-        high_edge = nz_probability_from_crb(model, 1e12, 20, zone=19)
-        assert low_edge == high_edge
-        assert low_edge >= interior
-        sigma = math.sqrt(crb_variance(model))
-        d = 1e12 / (2.0 * sigma)
-        assert_allclose(low_edge, 0.5 * (1.0 + erf(d / math.sqrt(2.0))), rtol=1e-12)
-
     def test_vanishing_spacing_rejected(self):
         model = self._model(500)
         with pytest.raises(ValueError):
-            nz_probability_from_crb(model, 0.0, 20)
+            nz_probability_from_crb(model, 0.0)
 
     def test_probability_saturates_with_samples(self):
-        p_small = nz_probability_from_crb(self._model(50), 1e12, 20)
-        p_large = nz_probability_from_crb(self._model(2000), 1e12, 20)
+        p_small = nz_probability_from_crb(self._model(50), 1e12)
+        p_large = nz_probability_from_crb(self._model(2000), 1e12)
         assert p_small < p_large
         assert p_large > 1.0 - 1e-9
-
-    def test_zone_argument_validated(self):
-        with pytest.raises(ValueError):
-            nz_probability_from_crb(self._model(100), 1e12, 20, zone=20)
 
 
 @pytest.fixture(scope="module")

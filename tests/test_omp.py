@@ -318,8 +318,6 @@ class TestScoreRecovery:
         return RecoveryResult(
             support=list(support),
             coefficients=np.ones(len(support), dtype=complex),
-            residual_norm=0.0,
-            iterations=len(support),
             selection_log=[],
         )
 

@@ -1,5 +1,8 @@
 """Tests for the package's public name list."""
 
+import inspect
+from dataclasses import fields
+
 import nyfold
 from nyfold import omp, rip, sensing, signal_clock
 from nyfold.sensing import SensingOperator
@@ -22,8 +25,26 @@ def test_every_public_name_resolves_once():
         assert getattr(nyfold, name) is not None
 
 
+# parameters that changed no output, and result fields now derived or dropped
+REMOVED_PARAMETERS = {
+    nyfold.nz_probability_from_crb: {"n_zones", "zone"},
+    nyfold.synthesize_signal: {"complex_mode"},
+}
+REMOVED_FIELDS = {
+    nyfold.ModulationConstant: {"c_value", "k_range", "band_definition"},
+    nyfold.RecoveryResult: {"residual_norm", "iterations"},
+}
+
+
 def test_removed_names_are_gone():
     for name, module in REMOVED.items():
         assert name not in nyfold.__all__
         assert not hasattr(nyfold, name)
         assert not hasattr(module, name)
+
+
+def test_removed_parameters_and_fields_are_gone():
+    for function, names in REMOVED_PARAMETERS.items():
+        assert not names & set(inspect.signature(function).parameters)
+    for cls, names in REMOVED_FIELDS.items():
+        assert not names & {f.name for f in fields(cls)}
