@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -130,16 +130,17 @@ def simulate_nz_trials(
     k_values: Sequence[int],
     trials: int,
     seed: int,
+    schedule: Optional[SampleSchedule] = None,
 ) -> np.ndarray:
     """Monte Carlo zone identification through one-step greedy detection.
 
     Per trial a single tone is drawn uniformly over the first ``n_zones``
     zones, evaluated at the K sample times of the modulated schedule (the
-    schedule truncated to K samples) and noised there at ``snr_db`` per sample
-    against the sampled tone's mean power. The trials of one K take one OMP
-    step together, as one ``omp_recover_batch`` call. The strongest
-    dictionary bin maps back to a zone by its frequency; the trial succeeds
-    when that zone is the tone's.
+    ``schedule``, solved here unless given, truncated to K samples) and noised
+    there at ``snr_db`` per sample against the sampled tone's mean power. The
+    trials of one K take one OMP step together, as one ``omp_recover_batch``
+    call. The strongest dictionary bin maps back to a zone by its frequency;
+    the trial succeeds when that zone is the tone's.
 
     Returns the success fraction per entry of ``k_values``.
     """
@@ -149,7 +150,7 @@ def simulate_nz_trials(
         raise ValueError("need at least one trial")
     if n_zones * clock.f_s1 / 2.0 > grid.f_atomic / 2.0:
         raise ValueError("zone span exceeds the representable band")
-    schedule = compute_sample_schedule(clock, grid)
+    schedule = compute_sample_schedule(clock, grid) if schedule is None else schedule
     for k in k_values:
         if not (1 <= k <= schedule.size):
             raise ValueError(f"K = {k} exceeds the {schedule.size} available samples")

@@ -10,9 +10,9 @@ seed, the experiment id, and the sweep/trial position, so execution order is
 immaterial.
 
 An experiment is data: one ``PRESETS`` entry, and one ``SPECS`` entry naming
-its body function and plot. The body's record keys, in order, are the CSV
-columns. ``_run`` times the body and builds the manifest for every experiment
-alike.
+its body function and plot. ``KINDS`` gives each preset key one kind and
+domain, checked before any body runs. The body's record keys, in order, are
+the CSV columns; ``_run`` times the body and builds the manifest alike for all.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import functools
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -218,6 +218,7 @@ def resolve_config(
     scale: str,
     overrides: Optional[dict[str, dict[str, str]]] = None,
 ) -> dict[str, dict[str, str]]:
+    """The preset under ``overrides``, as raw strings, each checked by its ``KINDS`` entry."""
     config = default_config(experiment, scale)
     for section, keys in (overrides or {}).items():
         if section not in config:
@@ -226,99 +227,103 @@ def resolve_config(
             if key not in config[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             config[section][key] = value
+    for section, keys in config.items():
+        for key in keys:
+            _value(config, section, key)
     return config
 
 
 # ---------------------------------------------------------------------------
-# typed config access
+# config schema: one kind and domain per [section] key, in every experiment
 
-def _get(config, section, key) -> str:
+@dataclass(frozen=True)
+class _Kind:
+    """One INI key's kind and domain. ``convert`` parses a token; a value is one
+    token or, with ``many``, a non-empty list, which ``span`` lets be written
+    start:stop:step (stop inclusive). Numbers lie in [low, high], words in
+    ``choices``; ``domain`` words this for error messages."""
+
+    convert: Callable[[str], object]
+    domain: str
+    low: float = -math.inf
+    high: float = math.inf
+    many: bool = False
+    span: bool = False
+    choices: tuple[str, ...] = ()
+
+
+def _integer(minimum: int, many: bool = False, span: bool = False) -> _Kind:
+    form = ("start:stop:step or " if span else "") + ("integers" if many or span else "an integer")
+    return _Kind(int, f"{form} of at least {minimum}", minimum, many=many or span, span=span)
+
+
+_MAX, _TINY = math.nextafter(math.inf, 0.0), math.ulp(0.0)  # low=_TINY admits all v > 0
+_COUNT = _integer(1)
+_POSITIVE = _Kind(float, "positive and finite", _TINY, _MAX)
+_NON_NEGATIVE = _Kind(float, "non-negative and finite", 0.0, _MAX)
+_UNIT = _Kind(float, "in (0, 1)", _TINY, math.nextafter(1.0, 0.0))
+_FINITES = _Kind(float, "finite", -_MAX, _MAX, many=True)  # ToneSpec checks tone signs
+
+KINDS: dict[str, dict[str, _Kind]] = {
+    "strip": {"n_bins": _integer(4), "k_measurements": _COUNT, "delta": _UNIT,
+              "tolerances": replace(_UNIT, many=True)},
+    "grid": {"t_atom_s": _POSITIVE, "n_points": _integer(2)},
+    "clock": {"f_s1_hz": _POSITIVE, "f_dev_hz": _NON_NEGATIVE, "period_s": _POSITIVE,
+              "modulation": _Kind(str.lower, "none, chirp or sine",
+                                  choices=("none", "chirp", "sine"))},
+    "estimate": {"k_max": _COUNT, "sparsity_for_bound": _COUNT},
+    "tones": {"frequencies_hz": _FINITES, "amplitudes": _FINITES, "phases_rad": _FINITES},
+    "spectrum": {"stft_window": _integer(8), "stft_hop": _COUNT,
+                 "signal_mode": _Kind(str.lower, "real or complex", choices=("real", "complex"))},
+    "sweep": {"sparsity": _integer(1, span=True), "trials": _COUNT, "tol_bins": _integer(0),
+              "snr_db": _Kind(float, "numbers or inf, not nan or -inf", -_MAX, many=True),
+              "min_separation_bins": _NON_NEGATIVE, "f_dev_hz": replace(_NON_NEGATIVE, many=True)},
+    "zones": {"n_zones": _COUNT, "trials": _COUNT, "noise_sigma2": _POSITIVE,
+              "k_values": _integer(1, many=True), "k_max": _COUNT},
+}
+
+
+def _value(config, section: str, key: str):
+    """``config[section][key]`` typed by its ``KINDS`` entry, or a ConfigError naming both."""
+    kind, raw = KINDS[section][key], config[section][key]
     try:
-        return config[section][key]
-    except KeyError as exc:
-        raise ConfigError(f"missing config value [{section}] {key}") from exc
+        if kind.span and ":" in raw:
+            start, stop, step = map(int, raw.split(":"))
+            values = list(range(start, stop + 1, step)) if step > 0 else []
+        else:
+            values = [kind.convert(tok) for tok in (raw.split() if kind.many else [raw])]
+        admitted = values and all(
+            v in kind.choices if kind.choices else kind.low <= v <= kind.high for v in values)
+    except ValueError:
+        admitted = False
+    if not admitted:
+        empty = kind.many and not raw.split()
+        problem = "is an empty list" if empty else f"must be {kind.domain}"
+        raise ConfigError(f"[{section}] {key} {problem}, got {raw!r}")
+    return values if kind.many else values[0]
 
 
-def _parse(config, section, key, convert, kind: str):
-    raw = _get(config, section, key)
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind}") from exc
-
-
-def _float(config, section, key) -> float:
-    return _parse(config, section, key, float, "a number")
-
-
-def _at_least(values, minimum, section, key) -> None:
-    if minimum is not None and min(values) < minimum:
-        raise ConfigError(f"[{section}] {key} must be at least {minimum}, got {min(values)}")
-
-
-def _int(config, section, key, minimum: Optional[int] = None) -> int:
-    value = _parse(config, section, key, int, "an integer")
-    _at_least([value], minimum, section, key)
-    return value
-
-
-def _list(config, section, key, convert, kind: str) -> list:
-    values = _parse(config, section, key, lambda raw: [convert(tok) for tok in raw.split()], kind)
-    if not values:
-        raise ConfigError(f"[{section}] {key} is an empty list")
-    return values
-
-
-def _floats(config, section, key) -> list[float]:
-    return _list(config, section, key, float, "a number list")
-
-
-def _ints(config, section, key, minimum: Optional[int] = None) -> list[int]:
-    values = _list(config, section, key, int, "an integer list")
-    _at_least(values, minimum, section, key)
-    return values
-
-
-def _int_range(config, section, key, minimum: Optional[int] = None) -> list[int]:
-    """Parse 'start:stop:step' (stop inclusive) or a plain integer list."""
-    raw = _get(config, section, key)
-    if ":" not in raw:
-        return _ints(config, section, key, minimum)
-    try:
-        start, stop, step = (int(tok) for tok in raw.split(":"))
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not start:stop:step") from exc
-    if step <= 0 or stop < start:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is an empty range")
-    _at_least([start], minimum, section, key)
-    return list(range(start, stop + 1, step))
+# perfbench/setup_probe.py imports the reader under these two names
+_floats = _ints = _value
 
 
 def _build_grid(config) -> TimeGrid:
-    try:
-        return TimeGrid(t_atom=_float(config, "grid", "t_atom_s"),
-                        n_points=_int(config, "grid", "n_points"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+    return TimeGrid(t_atom=_value(config, "grid", "t_atom_s"),
+                    n_points=_value(config, "grid", "n_points"))
 
 
 def _build_clock(config, f_dev_override: Optional[float] = None) -> ClockConfig:
-    kind = _get(config, "clock", "modulation").strip().lower()
-    f_s1 = _float(config, "clock", "f_s1_hz")
+    kind = _value(config, "clock", "modulation")
     f_dev = f_dev_override
     if f_dev is None and kind != "none":
-        f_dev = _float(config, "clock", "f_dev_hz")
+        f_dev = _value(config, "clock", "f_dev_hz")
+    modulation = None
     try:
-        if kind == "none" or (f_dev is not None and f_dev == 0.0):
-            modulation = None
-        elif kind == "chirp":
-            modulation = LinearChirp(f_dev, _float(config, "clock", "period_s"))
-        elif kind == "sine":
-            modulation = Sinusoid(f_dev, _float(config, "clock", "period_s"))
-        else:
-            raise ConfigError(f"unknown modulation kind {kind!r}")
-        return ClockConfig(f_s1=f_s1, modulation=modulation)
-    except ValueError as exc:
+        if kind != "none" and f_dev != 0.0:
+            law = LinearChirp if kind == "chirp" else Sinusoid
+            modulation = law(f_dev, _value(config, "clock", "period_s"))
+        return ClockConfig(f_s1=_value(config, "clock", "f_s1_hz"), modulation=modulation)
+    except ValueError as exc:  # f_dev at or above f_s1
         raise ConfigError(f"invalid clock: {exc}") from exc
 
 
@@ -326,13 +331,10 @@ def _build_clock(config, f_dev_override: Optional[float] = None) -> ClockConfig:
 # experiment bodies: (config, seed) -> (records, notes[, extra tables])
 
 def _strip_table(config, seed: int):
-    n = _int(config, "strip", "n_bins", minimum=4)
-    k = _int(config, "strip", "k_measurements", minimum=1)
-    delta = _float(config, "strip", "delta")
-    tolerances = _floats(config, "strip", "tolerances")
-    for key, values in (("delta", [delta]), ("tolerances", tolerances)):
-        if not all(0.0 < v < 1.0 for v in values):
-            raise ConfigError(f"[strip] {key} must lie in (0, 1)")
+    n = _value(config, "strip", "n_bins")
+    k = _value(config, "strip", "k_measurements")
+    delta = _value(config, "strip", "delta")
+    tolerances = _value(config, "strip", "tolerances")
     records = []
     for tol in tolerances:
         s = max_recoverable_sparsity(n, k, delta, tol)
@@ -350,8 +352,10 @@ def _strip_table(config, seed: int):
 def _mod_constant(config, seed: int):
     grid = _build_grid(config)
     clock = _build_clock(config)
-    k_max = _int(config, "estimate", "k_max", minimum=1)
-    s_bound = _int(config, "estimate", "sparsity_for_bound", minimum=1)
+    if clock.modulation is None:
+        raise ConfigError("[clock] modulation is none or f_dev_hz is 0: no modulation to measure")
+    k_max = _value(config, "estimate", "k_max")
+    s_bound = _value(config, "estimate", "sparsity_for_bound")
     constant = estimate_modulation_constant(clock, grid, k_max)
     delta2, delta_s = pairwise_deviation_bound(
         constant.c_value, grid.f_res, clock.f_dev, s_bound
@@ -375,14 +379,12 @@ def _mod_constant(config, seed: int):
 def _spectrum(config, seed: int):
     grid = _build_grid(config)
     clock = _build_clock(config)
-    freqs = _floats(config, "tones", "frequencies_hz")
-    amps = _floats(config, "tones", "amplitudes")
-    phases = _floats(config, "tones", "phases_rad")
+    freqs = _value(config, "tones", "frequencies_hz")
+    amps = _value(config, "tones", "amplitudes")
+    phases = _value(config, "tones", "phases_rad")
     if not (len(freqs) == len(amps) == len(phases)):
         raise ConfigError("tone frequency/amplitude/phase lists differ in length")
-    mode = _get(config, "spectrum", "signal_mode").strip().lower()
-    if mode not in ("real", "complex"):
-        raise ConfigError(f"signal_mode must be real or complex, got {mode!r}")
+    mode = _value(config, "spectrum", "signal_mode")
     try:
         tones = [ToneSpec(f, a, p) for f, a, p in zip(freqs, amps, phases)]
         check_tone_band(tones, grid)
@@ -426,8 +428,8 @@ def _spectrogram_table(samples, schedule, grid, clock, config) -> list[list[str]
     window overlaps the grid, zero-padded past its ends; this is the framing,
     phase and scaling of ``scipy.signal.ShortTimeFFT`` with its defaults.
     """
-    window = _int(config, "spectrum", "stft_window", minimum=8)
-    hop = _int(config, "spectrum", "stft_hop", minimum=1)
+    window = _value(config, "spectrum", "stft_window")
+    hop = _value(config, "spectrum", "stft_hop")
     n, half = grid.n_points, window // 2
     if window > 2 * n:
         raise ConfigError(f"[spectrum] stft_window = {window} exceeds twice the {n} grid points")
@@ -468,13 +470,11 @@ def _draw_tones(rng, sparsity, f_res, band, min_sep_bins) -> list[ToneSpec]:
 def _recovery_sweep(config, seed: int):
     grid = _build_grid(config)
     clock = _build_clock(config)
-    sparsities = _int_range(config, "sweep", "sparsity", minimum=1)
-    snrs = _floats(config, "sweep", "snr_db")
-    trials = _int(config, "sweep", "trials", minimum=1)
-    tol_bins = _int(config, "sweep", "tol_bins", minimum=0)
-    min_sep = _float(config, "sweep", "min_separation_bins")
-    if any(math.isnan(v) or v == -math.inf for v in snrs):
-        raise ConfigError("[sweep] snr_db must be a number or inf, not nan or -inf")
+    sparsities = _value(config, "sweep", "sparsity")
+    snrs = _value(config, "sweep", "snr_db")
+    trials = _value(config, "sweep", "trials")
+    tol_bins = _value(config, "sweep", "tol_bins")
+    min_sep = _value(config, "sweep", "min_separation_bins")
 
     schedule = compute_sample_schedule(clock, grid)
     if max(sparsities) > schedule.size:
@@ -526,13 +526,17 @@ def _zone_id(config, seed: int):
     clock = _build_clock(config)
     if not isinstance(clock.modulation, LinearChirp):
         raise ConfigError("zone-id needs a chirp-modulated clock")
-    n_zones = _int(config, "zones", "n_zones", minimum=1)
-    trials = _int(config, "zones", "trials", minimum=1)
-    sigma2 = _float(config, "zones", "noise_sigma2")
-    k_values = _ints(config, "zones", "k_values", minimum=1)
-    k_max = _int(config, "zones", "k_max", minimum=1)
-    if not 0.0 < sigma2 < math.inf:
-        raise ConfigError("noise_sigma2 must be positive and finite")
+    n_zones = _value(config, "zones", "n_zones")
+    trials = _value(config, "zones", "trials")
+    sigma2 = _value(config, "zones", "noise_sigma2")
+    k_values = _value(config, "zones", "k_values")
+    k_max = _value(config, "zones", "k_max")
+    if n_zones * clock.f_s1 / 2.0 > grid.f_atomic / 2.0:
+        raise ConfigError(f"[zones] n_zones = {n_zones} spans {n_zones * clock.f_s1 / 2.0:g} Hz, "
+                          f"past f_atomic/2 = {grid.f_atomic / 2.0:g} Hz")
+    schedule = compute_sample_schedule(clock, grid)
+    if max(k_values) > schedule.size:
+        raise ConfigError(f"[zones] k_values = {max(k_values)} exceeds K = {schedule.size}")
 
     constant = estimate_modulation_constant(clock, grid, k_max)
     delta2, _ = pairwise_deviation_bound(constant.c_value, grid.f_res, clock.f_dev, 1)
@@ -540,15 +544,8 @@ def _zone_id(config, seed: int):
     step = 1.0 / clock.f_s1
     snr_db = -10.0 * math.log10(sigma2)
 
-    empirical = simulate_nz_trials(
-        grid,
-        clock,
-        snr_db,
-        n_zones,
-        k_values,
-        trials,
-        seed=fanout_seed(seed, "zone-id", 0, 0),
-    )
+    empirical = simulate_nz_trials(grid, clock, snr_db, n_zones, k_values, trials,
+                                   seed=fanout_seed(seed, "zone-id", 0, 0), schedule=schedule)
     records = []
     for ki, k in enumerate(k_values):
         model = ChirpModel(
@@ -591,9 +588,9 @@ def _zone_id(config, seed: int):
 
 def _deviation_sweep(config, seed: int):
     grid = _build_grid(config)
-    f_devs = _floats(config, "sweep", "f_dev_hz")
-    sparsities = _int_range(config, "sweep", "sparsity", minimum=1)
-    trials = _int(config, "sweep", "trials", minimum=1)
+    f_devs = _value(config, "sweep", "f_dev_hz")
+    sparsities = _value(config, "sweep", "sparsity")
+    trials = _value(config, "sweep", "trials")
     if len(set(sparsities)) < 2:
         raise ConfigError("[sweep] sparsity needs two or more distinct values "
                           "to fit the deviation slope")

@@ -80,10 +80,10 @@ class _PhaseLaw:
     period: float
 
     def __post_init__(self) -> None:
-        if self.f_dev < 0.0:
-            raise ValueError("f_dev must be non-negative")
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
+        if not 0.0 <= self.f_dev < math.inf:
+            raise ValueError("f_dev must be non-negative and finite")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError("period must be positive and finite")
 
 
 class LinearChirp(_PhaseLaw):

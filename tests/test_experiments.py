@@ -1,9 +1,13 @@
 """Tests for experiment presets, result serialization, runners, and the CLI."""
 
+import contextlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,13 +22,15 @@ import nyfold
 from nyfold import cli, crb, omp, signal_clock, svgplot
 from nyfold.experiments import (
     EXPERIMENTS,
+    KINDS,
+    PRESETS,
     SCALES,
     ConfigError,
     ResultManifest,
     _build_clock,
     _build_grid,
-    _int_range,
     _spectrogram_table,
+    _value,
     default_config,
     fanout_seed,
     load_config_file,
@@ -44,8 +50,13 @@ class TestConfig:
     def test_every_preset_resolves(self):
         for experiment in EXPERIMENTS:
             for scale in SCALES:
-                config = default_config(experiment, scale)
+                config = resolve_config(experiment, scale)
                 assert "run" not in config
+
+    def test_every_preset_key_has_one_kind(self):
+        preset_keys = {(section, key) for sections in PRESETS.values()
+                       for section, keys in sections.items() for key in keys}
+        assert preset_keys == {(section, key) for section in KINDS for key in KINDS[section]}
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError):
@@ -67,21 +78,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             resolve_config("strip-table", "desk", {"strip": {"n_bin": "10"}})
 
+    @staticmethod
+    def sparsity(raw):
+        return _value({"sweep": {"sparsity": raw}}, "sweep", "sparsity")
+
     def test_int_range_inclusive_stop(self):
-        config = {"s": {"r": "3:60:3"}}
-        assert _int_range(config, "s", "r") == list(range(3, 61, 3))
+        assert self.sparsity("3:60:3") == list(range(3, 61, 3))
 
     def test_int_range_plain_list(self):
-        config = {"s": {"r": "100 250 400"}}
-        assert _int_range(config, "s", "r") == [100, 250, 400]
+        assert self.sparsity("100 250 400") == [100, 250, 400]
 
     def test_int_range_rejects_empty_or_malformed(self):
         with pytest.raises(ConfigError):
-            _int_range({"s": {"r": "10:5:1"}}, "s", "r")
+            self.sparsity("10:5:1")
         with pytest.raises(ConfigError):
-            _int_range({"s": {"r": "1:10"}}, "s", "r")
+            self.sparsity("1:10")
         with pytest.raises(ConfigError):
-            _int_range({"s": {"r": "a b"}}, "s", "r")
+            self.sparsity("a b")
+        with pytest.raises(ConfigError):
+            self.sparsity("5:1:-1")
 
 
 class TestFanoutSeed:
@@ -366,17 +381,24 @@ def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys
         ("zone-id", "zones", "n_zones", "0"),
         ("zone-id", "zones", "k_max", "0"),
         ("zone-id", "zones", "k_values", "0 100"),
+        ("zone-id", "zones", "k_values", "100 5000"),  # K = 2000
+        ("zone-id", "zones", "n_zones", "2000"),  # spans 2e11 Hz, past f_atomic/2 = 5e9 Hz
         ("deviation-sweep", "sweep", "trials", "0"),
         ("deviation-sweep", "sweep", "sparsity", "0 200"),
         ("deviation-sweep", "sweep", "sparsity", "0:400:200"),
         ("deviation-sweep", "sweep", "sparsity", "200 20000"),  # N = 16384
+        ("deviation-sweep", "sweep", "f_dev_hz", "0 nan"),
         ("mod-constant", "estimate", "k_max", "0"),
         ("mod-constant", "estimate", "sparsity_for_bound", "0"),
+        ("mod-constant", "clock", "f_dev_hz", "nan"),
+        ("mod-constant", "clock", "period_s", "nan"),
+        ("mod-constant", "clock", "modulation", "none"),
         ("strip-table", "strip", "k_measurements", "0"),
         ("strip-table", "strip", "n_bins", "3"),
         ("strip-table", "strip", "tolerances", "0 0.1"),
         ("strip-table", "strip", "delta", "1"),
         ("spectrum", "spectrum", "stft_window", "40000"),
+        ("spectrum", "tones", "amplitudes", "nan 1 1 1"),
     ],
 )
 def test_out_of_range_config_value_exits_2(experiment, section, key, value, tmp_path, capsys):
@@ -390,6 +412,60 @@ def test_out_of_range_config_value_exits_2(experiment, section, key, value, tmp_
     err = capsys.readouterr().err
     assert "config error" in err and f"[{section}] {key}" in err
     assert not out.exists()
+
+
+FUZZ_KEYS = [(experiment, section, key) for experiment in EXPERIMENTS
+             for section, keys in PRESETS[experiment].items() for key in keys]
+
+
+def out_of_domain(kind, preset):
+    """Values of ``kind`` outside its domain: malformed text, nan, +-inf, numbers
+    below or above the bounds, empty lists and bad ranges. ``preset`` is an
+    in-domain value of the key, to put a bad entry among good ones."""
+    bad = ["abc", "1x", "0x10", "1,2", "--1", "nan", "-inf"] + ["inf"] * (kind.high < math.inf)
+    tokens = [st.sampled_from(bad)]
+    if kind.convert is int:
+        tokens.append(st.integers(max_value=kind.low - 1).map(str))
+        tokens.append(st.floats(allow_nan=False).map(repr))
+    elif not kind.choices:
+        below, above = math.nextafter(kind.low, -math.inf), math.nextafter(kind.high, math.inf)
+        if below > -math.inf:
+            tokens.append(st.floats(max_value=below, allow_nan=False).map(repr))
+        if above < math.inf:
+            tokens.append(st.floats(min_value=above, allow_nan=False).map(repr))
+    token = st.one_of(tokens)
+    if not kind.many:
+        return st.one_of(token, st.just(f"{preset} {preset}"))
+    values = [token, token.map(lambda t: f"{preset} {t}"), st.just("")]
+    if kind.span:
+        values.append(st.sampled_from(["1:5", "1:2:3:4", "a:b:c", "1.0:5:1", "5:1:1", "5:1:-1",
+                                       "1:5:0", "0:4:2"]))
+        values.append(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+                      .filter(lambda r: r[2] <= 0 or r[1] < r[0] or r[0] < kind.low)
+                      .map(lambda r: ":".join(map(str, r))))
+    return st.one_of(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_out_of_domain_value_exits_2_naming_the_key(data):
+    """Any value outside its key's kind or domain exits 2 before a body runs."""
+    experiment, section, key = data.draw(st.sampled_from(FUZZ_KEYS))
+    preset = default_config(experiment, "desk")[section][key]
+    value = data.draw(out_of_domain(KINDS[section][key], preset), label="value")
+    sections = {name: dict(keys) for name, keys in TINY_OVERRIDES[experiment].items()}
+    sections.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} ")):
+        resolve_config(experiment, "desk", sections)
+    with tempfile.TemporaryDirectory() as tmp:
+        ini, out = Path(tmp) / "fuzz.ini", Path(tmp) / "o"
+        write_sections(ini, sections)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([experiment, "--config", str(ini), "--out", str(out)])
+        assert code == 2, err.getvalue()
+        assert f"[{section}] {key}" in err.getvalue()
+        assert not out.exists()
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,8 +569,9 @@ class TestCli:
         assert not out.exists()
 
     def test_non_finite_tone_amplitude_exits_3(self, tmp_path, capsys):
+        """Finite amplitudes whose samples overflow fail as numbers, not as config."""
         ini = tmp_path / "nan.ini"
-        ini.write_text("[tones]\namplitudes = nan 1 1 1\n", encoding="utf-8")
+        ini.write_text("[tones]\namplitudes = 1e308 1e308 1e308 1e308\n", encoding="utf-8")
         out = tmp_path / "o"
         assert cli.main(["spectrum", "--config", str(ini), "--out", str(out)]) == 3
         assert "signal must be finite" in capsys.readouterr().err

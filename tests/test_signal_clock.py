@@ -93,6 +93,13 @@ class TestModulationLaws:
         with pytest.raises(ValueError):
             cls(f_dev=1e6, period=0.0)
 
+    @pytest.mark.parametrize("cls", [LinearChirp, Sinusoid])
+    @pytest.mark.parametrize("f_dev,period", [(math.nan, 1e-4), (math.inf, 1e-4),
+                                              (1e6, math.nan), (1e6, math.inf)])
+    def test_rejects_non_finite_parameters(self, cls, f_dev, period):
+        with pytest.raises(ValueError, match="finite"):
+            cls(f_dev=f_dev, period=period)
+
     def test_clock_requires_deviation_below_carrier(self):
         with pytest.raises(ValueError):
             ClockConfig(f_s1=2e8, modulation=LinearChirp(f_dev=3e8, period=1e-4))
