@@ -44,6 +44,7 @@ from .sensing import SensingOperator, empirical_rip
 from .signal_clock import (
     ClockConfig,
     LinearChirp,
+    ScheduleError,
     Sinusoid,
     TimeGrid,
     ToneSpec,
@@ -324,7 +325,16 @@ def _build_clock(config, f_dev_override: Optional[float] = None) -> ClockConfig:
             modulation = law(f_dev, _value(config, "clock", "period_s"))
         return ClockConfig(f_s1=_value(config, "clock", "f_s1_hz"), modulation=modulation)
     except ValueError as exc:  # f_dev at or above f_s1
-        raise ConfigError(f"invalid clock: {exc}") from exc
+        key = "[clock] f_dev_hz" if f_dev_override is None else "[sweep] f_dev_hz"
+        raise ConfigError(f"{key} = {f_dev:g} gives an invalid clock: {exc}") from exc
+
+
+def _modulation_constant(config, section: str, clock: ClockConfig, grid: TimeGrid):
+    k_max = _value(config, section, "k_max")
+    try:
+        return estimate_modulation_constant(clock, grid, k_max)
+    except ValueError as exc:  # a swept band covers the grid; checked before any spectrum
+        raise ConfigError(f"[{section}] k_max = {k_max}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +364,8 @@ def _mod_constant(config, seed: int):
     clock = _build_clock(config)
     if clock.modulation is None:
         raise ConfigError("[clock] modulation is none or f_dev_hz is 0: no modulation to measure")
-    k_max = _value(config, "estimate", "k_max")
     s_bound = _value(config, "estimate", "sparsity_for_bound")
-    constant = estimate_modulation_constant(clock, grid, k_max)
+    constant = _modulation_constant(config, "estimate", clock, grid)
     delta2, delta_s = pairwise_deviation_bound(
         constant.c_value, grid.f_res, clock.f_dev, s_bound
     )
@@ -530,7 +539,6 @@ def _zone_id(config, seed: int):
     trials = _value(config, "zones", "trials")
     sigma2 = _value(config, "zones", "noise_sigma2")
     k_values = _value(config, "zones", "k_values")
-    k_max = _value(config, "zones", "k_max")
     if n_zones * clock.f_s1 / 2.0 > grid.f_atomic / 2.0:
         raise ConfigError(f"[zones] n_zones = {n_zones} spans {n_zones * clock.f_s1 / 2.0:g} Hz, "
                           f"past f_atomic/2 = {grid.f_atomic / 2.0:g} Hz")
@@ -538,7 +546,7 @@ def _zone_id(config, seed: int):
     if max(k_values) > schedule.size:
         raise ConfigError(f"[zones] k_values = {max(k_values)} exceeds K = {schedule.size}")
 
-    constant = estimate_modulation_constant(clock, grid, k_max)
+    constant = _modulation_constant(config, "zones", clock, grid)
     delta2, _ = pairwise_deviation_bound(constant.c_value, grid.f_res, clock.f_dev, 1)
     slope_spacing = clock.f_dev / clock.modulation.period
     step = 1.0 / clock.f_s1
@@ -598,10 +606,10 @@ def _deviation_sweep(config, seed: int):
         raise ConfigError(f"[sweep] sparsity = {max(sparsities)} exceeds the "
                           f"grid's {grid.n_points} points")
 
+    clocks = [_build_clock(config, f_dev_override=f_dev) for f_dev in f_devs]
     records = []
     notes: dict[str, str] = {}
-    for fi, f_dev in enumerate(f_devs):
-        clock = _build_clock(config, f_dev_override=f_dev)
+    for fi, (f_dev, clock) in enumerate(zip(f_devs, clocks)):
         schedule = compute_sample_schedule(clock, grid)
         op = SensingOperator(grid, schedule)
         maxima = []
@@ -711,7 +719,13 @@ def _run(experiment: str, config, seed: int, scale: str) -> ResultManifest:
     """Run one experiment's body on the wall clock and wrap it in a manifest."""
     spec = SPECS[experiment]
     t0 = time.perf_counter()
-    records, notes, *extra = spec.body(config, seed)
+    try:
+        records, notes, *extra = spec.body(config, seed)
+    except ScheduleError as exc:
+        if exc.grid_field is None:
+            raise
+        key = "t_atom_s" if exc.grid_field == "t_atom" else "n_points"
+        raise ConfigError(f"[grid] {key} = {config['grid'][key]}: {exc}") from exc
     return ResultManifest(
         experiment=experiment,
         scale=scale,

@@ -140,7 +140,8 @@ def estimate_modulation_constant(
     For each k the unitary spectrum of ``exp(j k theta)`` is formed; its global
     peak power is compared against the mean power over the band swept by the
     instantaneous frequency (width k * f_dev). C is the worst ratio's square
-    root. Requires a modulated clock.
+    root. Requires a modulated clock. Every k's band is checked against the
+    grid before any spectrum is formed.
     """
     f_dev = clock.f_dev
     if f_dev <= 0.0:
@@ -151,13 +152,14 @@ def estimate_modulation_constant(
     f_lo, f_hi = float(rate.min()), float(rate.max())
     f_res = grid.f_res
     n = grid.n_points
-    per_k = np.empty(k_max, dtype=float)
-    for k in range(1, k_max + 1):
-        g2 = np.abs(_harmonic_spectrum(1.0, k, clock.modulation, grid)) ** 2
-        lo = int(math.floor(k * f_lo / f_res))
-        hi = int(math.ceil(k * f_hi / f_res))
+    bands = [(math.floor(k * f_lo / f_res), math.ceil(k * f_hi / f_res))
+             for k in range(1, k_max + 1)]
+    for k, (lo, hi) in enumerate(bands, start=1):
         if hi - lo + 1 >= n:
             raise ValueError(f"swept band at k={k} covers the whole grid")
+    per_k = np.empty(k_max, dtype=float)
+    for k, (lo, hi) in enumerate(bands, start=1):
+        g2 = np.abs(_harmonic_spectrum(1.0, k, clock.modulation, grid)) ** 2
         band = np.arange(lo, hi + 1) % n
         band_energy = float(g2[band].sum())
         per_k[k - 1] = math.sqrt(float(g2.max()) * k * f_dev / (f_res * band_energy))

@@ -20,7 +20,15 @@ TWO_PI = 2.0 * math.pi
 
 
 class ScheduleError(RuntimeError):
-    """Zero-crossing search failed or the grid cannot resolve the schedule."""
+    """Zero-crossing search failed or the grid cannot resolve the schedule.
+
+    ``grid_field`` is the TimeGrid field (``"t_atom"`` or ``"n_points"``) whose
+    value alone decides the failure for the given clock, or None.
+    """
+
+    def __init__(self, message: str, grid_field: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.grid_field = grid_field
 
 
 @dataclass(frozen=True)
@@ -142,22 +150,13 @@ class ClockConfig:
 
 
 def theta_eval(modulation: Modulation, t):
-    """Evaluate the clock phase modulation theta(t) in radians.
-
-    Accepts a scalar time or an ndarray; the return type mirrors the input.
-    """
-    if modulation is None:
-        return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
-    out = modulation.phase(t)
-    return out if isinstance(t, np.ndarray) else float(out)
+    """Evaluate the clock phase modulation theta(t) in radians at a time or an array of times."""
+    return np.zeros_like(t, dtype=float) if modulation is None else modulation.phase(t)
 
 
 def theta_rate(modulation: Modulation, t):
     """Evaluate the analytic derivative theta'(t) in rad/s."""
-    if modulation is None:
-        return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
-    out = modulation.rate(t)
-    return out if isinstance(t, np.ndarray) else float(out)
+    return np.zeros_like(t, dtype=float) if modulation is None else modulation.rate(t)
 
 
 @dataclass(frozen=True)
@@ -195,105 +194,54 @@ def _robust_cycle_count(f_s1: float, duration: float) -> int:
     return int(math.floor(x * (1.0 + 1e-12) + 1e-12))
 
 
+def _clock_phase(modulation: Modulation, omega: float, t: np.ndarray) -> np.ndarray:
+    phase = theta_eval(modulation, t)
+    phase += omega * t
+    return phase
+
+
 def compute_sample_schedule(clock: ClockConfig, grid: TimeGrid) -> SampleSchedule:
     """Solve for the clock's positive-slope zero crossings and snap them to the grid.
 
-    Crossing k satisfies ``2 pi f_s1 t_k + theta(t_k) = 2 pi k``. Each solve is
-    a damped Newton iteration seeded from the previous crossing; crossings are
-    enumerated for k = 0 .. floor(f_s1 * duration) - 1 and kept while they fit
-    inside the observation window.
+    Crossing k, for k = 0 .. floor(f_s1 * duration) - 1, is the first time the
+    clock phase ``2 pi f_s1 t + theta(t)`` reaches ``2 pi k``, kept while its
+    nearest grid index (ties to the earlier) lies inside the window.
 
     Raises
     ------
     ScheduleError
-        If a crossing search fails to converge, the schedule is non-monotonic
-        beyond repair, or two crossings quantize to the same grid index.
+        If the grid is shorter than one clock cycle or two crossings quantize
+        to the same grid index (``grid_field`` names the TimeGrid field at
+        fault), or a crossing time misses the phase tolerance.
     """
     f_s1 = clock.f_s1
-    omega = TWO_PI * f_s1
-    duration = grid.duration
-    if duration < 1.0 / f_s1:
-        raise ScheduleError("grid shorter than one clock cycle")
-    mod = clock.modulation
-    k_target = _robust_cycle_count(f_s1, duration)
-    tol = 1e-9 * TWO_PI
-    max_step = 0.5 / f_s1
-
-    times = np.empty(k_target, dtype=float)
-    indices = np.empty(k_target, dtype=np.int64)
-    count = 0
-    t_prev = -math.inf
-    theta_prev = 0.0
-
-    for k in range(k_target):
-        target = TWO_PI * k
-        t = (target - theta_prev) / omega
-        t = _newton_crossing(mod, omega, target, t, tol, max_step)
-        if t is None or t <= t_prev:
-            # A sawtooth resweep can re-cross earlier phase lines; take the
-            # first crossing after the previous sample instead.
-            t = _bracketed_crossing(mod, omega, target, t_prev, f_s1, tol)
-        if t >= duration:
-            break
-        idx = int(math.ceil(t / grid.t_atom - 0.5))  # ties round to the earlier index
-        if idx >= grid.n_points:
-            break
-        if count > 0 and idx == indices[count - 1]:
-            raise ScheduleError(
-                f"crossings {count - 1} and {count} both quantize to grid index "
-                f"{idx}; atomic grid too coarse for this clock"
-            )
-        times[count] = t
-        indices[count] = idx
-        count += 1
-        t_prev = t
-        theta_prev = theta_eval(mod, t)
-
-    if count == 0:
-        raise ScheduleError("no clock crossings inside the observation window")
-    return SampleSchedule(indices[:count].copy(), times[:count].copy())
-
-
-def _newton_crossing(mod, omega, target, t, tol, max_step) -> Optional[float]:
-    for _ in range(50):
-        phi = omega * t + theta_eval(mod, t) - target
-        if abs(phi) < tol:
-            return t
-        step = phi / (omega + theta_rate(mod, t))
-        if step > max_step:
-            step = max_step
-        elif step < -max_step:
-            step = -max_step
-        t -= step
-    return None
-
-
-def _bracketed_crossing(mod, omega, target, t_prev, f_s1, tol) -> float:
-    if not math.isfinite(t_prev):
+    if grid.duration < 1.0 / f_s1:
+        raise ScheduleError("grid shorter than one clock cycle", grid_field="n_points")
+    omega, mod, t_atom = TWO_PI * f_s1, clock.modulation, grid.t_atom
+    levels = TWO_PI * np.arange(_robust_cycle_count(f_s1, grid.duration))
+    # Crossing k snaps to index j when it lies in ((j - 1/2) t_atom, (j + 1/2) t_atom]:
+    # j is the first atom midpoint where the phase's running maximum reaches 2 pi k,
+    # which after a sawtooth resweep waits for the phase to pass its earlier peak.
+    # Index < N keeps the crossings before the last midpoint, inside the window.
+    peak = _clock_phase(mod, omega, (np.arange(grid.n_points) + 0.5) * t_atom)
+    indices = np.searchsorted(np.maximum.accumulate(peak, out=peak), levels)
+    indices = indices[indices < grid.n_points]
+    levels = levels[: len(indices)]
+    same = np.flatnonzero(np.diff(indices) == 0)
+    if same.size:
+        c = int(same[0])
+        raise ScheduleError(
+            f"crossings {c} and {c + 1} both quantize to grid index {indices[c]}; "
+            "atomic grid too coarse for this clock", grid_field="t_atom")
+    # Newton from each bracket's right end: the phase is smooth over one atom,
+    # so four steps take the error far below the tolerance
+    times = (indices + 0.5) * t_atom
+    for _ in range(4):
+        step = (_clock_phase(mod, omega, times) - levels) / (omega + theta_rate(mod, times))
+        np.maximum(times - step, 0.0, out=times)  # crossing 0 sits at t = 0, the window's start
+    if not np.all(np.abs(_clock_phase(mod, omega, times) - levels) < 1e-9 * TWO_PI):
         raise ScheduleError("crossing search failed to converge")
-    lo = t_prev
-    hi = t_prev
-    # grow the probe geometrically: a sawtooth resweep can throw the phase
-    # many cycles backward, leaving the next crossing far downstream
-    span = 0.25 / f_s1
-    for _ in range(64):
-        hi += span
-        if omega * hi + theta_eval(mod, hi) - target >= 0.0:
-            break
-        lo = hi
-        span *= 1.5
-    else:
-        raise ScheduleError("no zero crossing found beyond the previous sample")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if omega * mid + theta_eval(mod, mid) - target < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = _newton_crossing(mod, omega, target, hi, tol, 0.5 / f_s1)
-    if t is None or t <= t_prev:
-        raise ScheduleError("crossing search failed to converge after resweep")
-    return t
+    return SampleSchedule(indices, times)
 
 
 def sample_tones(tones: Sequence[ToneSpec], times: np.ndarray) -> np.ndarray:

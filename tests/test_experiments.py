@@ -399,6 +399,11 @@ def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys
         ("strip-table", "strip", "delta", "1"),
         ("spectrum", "spectrum", "stft_window", "40000"),
         ("spectrum", "tones", "amplitudes", "nan 1 1 1"),
+        ("recovery-sweep", "grid", "t_atom_s", "1e-8"),  # two crossings per atom
+        ("spectrum", "grid", "n_points", "2"),  # shorter than one clock cycle
+        ("mod-constant", "estimate", "k_max", "2000"),  # band at k = 1000 covers the grid
+        ("zone-id", "zones", "k_max", "2000"),
+        ("deviation-sweep", "sweep", "f_dev_hz", "0 3e9"),  # at or above f_s1 = 2e9
     ],
 )
 def test_out_of_range_config_value_exits_2(experiment, section, key, value, tmp_path, capsys):

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nyfold.experiments import resolve_config, run_spectrum
+from nyfold.experiments import (
+    PRESETS,
+    SCALES,
+    _build_clock,
+    _build_grid,
+    _value,
+    resolve_config,
+    run_spectrum,
+)
 from nyfold.signal_clock import (
     TWO_PI,
     ClockConfig,
@@ -18,6 +26,7 @@ from nyfold.signal_clock import (
     Sinusoid,
     TimeGrid,
     ToneSpec,
+    _robust_cycle_count,
     add_noise,
     compute_sample_schedule,
     fold_tone,
@@ -26,6 +35,120 @@ from nyfold.signal_clock import (
     theta_eval,
     theta_rate,
 )
+
+
+def reference_schedule(clock, grid):
+    """The per-crossing solver: crossing k solves ``2 pi f_s1 t + theta(t) = 2 pi k``
+    by damped Newton seeded from the previous crossing, with a bracketed search
+    past the previous sample when a sawtooth resweep throws the phase back.
+    Returns (indices, times)."""
+    f_s1 = clock.f_s1
+    omega = TWO_PI * f_s1
+    duration = grid.duration
+    if duration < 1.0 / f_s1:
+        raise ScheduleError("grid shorter than one clock cycle")
+    mod = clock.modulation
+    k_target = _robust_cycle_count(f_s1, duration)
+    tol = 1e-9 * TWO_PI
+    max_step = 0.5 / f_s1
+
+    times = np.empty(k_target, dtype=float)
+    indices = np.empty(k_target, dtype=np.int64)
+    count = 0
+    t_prev = -math.inf
+    theta_prev = 0.0
+
+    for k in range(k_target):
+        target = TWO_PI * k
+        t = (target - theta_prev) / omega
+        t = _newton_crossing(mod, omega, target, t, tol, max_step)
+        if t is None or t <= t_prev:
+            t = _bracketed_crossing(mod, omega, target, t_prev, f_s1, tol)
+        if t >= duration:
+            break
+        idx = int(math.ceil(t / grid.t_atom - 0.5))  # ties round to the earlier index
+        if idx >= grid.n_points:
+            break
+        if count > 0 and idx == indices[count - 1]:
+            raise ScheduleError(f"crossings {count - 1} and {count} both quantize to grid index "
+                                f"{idx}; atomic grid too coarse for this clock")
+        times[count] = t
+        indices[count] = idx
+        count += 1
+        t_prev = t
+        theta_prev = _theta(mod, t)
+    return indices[:count], times[:count]
+
+
+def _theta(mod, t):
+    return float(theta_eval(mod, t))
+
+
+def _newton_crossing(mod, omega, target, t, tol, max_step):
+    for _ in range(50):
+        phi = omega * t + _theta(mod, t) - target
+        if abs(phi) < tol:
+            return t
+        step = phi / (omega + float(theta_rate(mod, t)))
+        if step > max_step:
+            step = max_step
+        elif step < -max_step:
+            step = -max_step
+        t -= step
+    return None
+
+
+def _bracketed_crossing(mod, omega, target, t_prev, f_s1, tol):
+    if not math.isfinite(t_prev):
+        raise ScheduleError("crossing search failed to converge")
+    lo = t_prev
+    hi = t_prev
+    # grow the probe geometrically: a sawtooth resweep can throw the phase
+    # many cycles backward, leaving the next crossing far downstream
+    span = 0.25 / f_s1
+    for _ in range(64):
+        hi += span
+        if omega * hi + _theta(mod, hi) - target >= 0.0:
+            break
+        lo = hi
+        span *= 1.5
+    else:
+        raise ScheduleError("no zero crossing found beyond the previous sample")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if omega * mid + _theta(mod, mid) - target < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = _newton_crossing(mod, omega, target, hi, tol, 0.5 / f_s1)
+    if t is None or t <= t_prev:
+        raise ScheduleError("crossing search failed to converge after resweep")
+    return t
+
+
+def preset_schedules():
+    """(id, clock, grid) for every preset schedule at both scales, and the
+    resweep, sine and uniform clocks of TestSampleSchedule."""
+    cases = []
+    for scale in SCALES:
+        for experiment, sections in PRESETS.items():
+            if "grid" not in sections:
+                continue
+            config = resolve_config(experiment, scale)
+            grid = _build_grid(config)
+            if experiment == "deviation-sweep":
+                for f_dev in _value(config, "sweep", "f_dev_hz"):
+                    clock = _build_clock(config, f_dev_override=f_dev)
+                    cases.append((f"{experiment}-{scale}-{f_dev:g}", clock, grid))
+            else:
+                cases.append((f"{experiment}-{scale}", _build_clock(config), grid))
+    grid = TimeGrid(t_atom=1e-10, n_points=100_000)
+    cases += [
+        ("resweep", ClockConfig(2e8, LinearChirp(1e7, 0.5 * grid.duration)), grid),
+        ("sine", ClockConfig(2e8, Sinusoid(5e6, 1e-5)), grid),
+        ("uniform", ClockConfig(2e8, None), grid),
+    ]
+    return [pytest.param(clock, grid, id=name) for name, clock, grid in cases]
 
 
 def modulation_index_for_zone(zone):
@@ -170,6 +293,27 @@ class TestSampleSchedule:
         clock = ClockConfig(f_s1=3e10, modulation=None)
         with pytest.raises(ScheduleError):
             compute_sample_schedule(clock, grid)
+
+    @pytest.mark.parametrize("clock,grid", preset_schedules())
+    def test_matches_per_crossing_reference(self, clock, grid):
+        """The array solve gives the reference solver's indices bitwise and its
+        times to within the phase tolerance over the clock rate."""
+        indices, times = reference_schedule(clock, grid)
+        sched = compute_sample_schedule(clock, grid)
+        assert np.array_equal(sched.indices, indices)
+        assert_allclose(sched.times, times, rtol=0.0, atol=1e-16)
+
+    def test_crossings_are_first_passages(self):
+        # resweeps every 1310 atoms: the phase passes some 2 pi k just before
+        # a resweep and again after it relocks; the first passage counts
+        grid = TimeGrid(t_atom=1e-10, n_points=20_000)
+        clock = ClockConfig(f_s1=2e8, modulation=LinearChirp(2.5e7, 1.31e-7))
+        sched = compute_sample_schedule(clock, grid)
+        fine = np.arange(16 * grid.n_points) * (grid.t_atom / 16)
+        peak = np.maximum.accumulate(TWO_PI * clock.f_s1 * fine
+                                     + theta_eval(clock.modulation, fine))
+        before = np.searchsorted(fine, sched.times[1:] - grid.t_atom / 32) - 1
+        assert np.all(peak[before] < TWO_PI * np.arange(1, sched.size))
 
     def test_survives_sawtooth_resweep(self):
         # two sweeps inside the window: the phase jumps back by
