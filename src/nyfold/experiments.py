@@ -241,8 +241,8 @@ def resolve_config(
 class _Kind:
     """One INI key's kind and domain. ``convert`` parses a token; a value is one
     token or, with ``many``, a non-empty list, which ``span`` lets be written
-    start:stop:step (stop inclusive). Numbers lie in [low, high], words in
-    ``choices``; ``domain`` words this for error messages."""
+    start:stop:step (stop inclusive). Numbers lie in [low, high] or in
+    ``choices``, words in ``choices``; ``domain`` words this for error messages."""
 
     convert: Callable[[str], object]
     domain: str
@@ -250,7 +250,7 @@ class _Kind:
     high: float = math.inf
     many: bool = False
     span: bool = False
-    choices: tuple[str, ...] = ()
+    choices: tuple = ()
 
 
 def _integer(minimum: int, many: bool = False, span: bool = False) -> _Kind:
@@ -277,9 +277,14 @@ KINDS: dict[str, dict[str, _Kind]] = {
     "spectrum": {"stft_window": _integer(8), "stft_hop": _COUNT,
                  "signal_mode": _Kind(str.lower, "real or complex", choices=("real", "complex"))},
     "sweep": {"sparsity": _integer(1, span=True), "trials": _COUNT, "tol_bins": _integer(0),
-              "snr_db": _Kind(float, "numbers or inf, not nan or -inf", -_MAX, many=True),
+              # |snr_db| <= 3000, like 1e-300 <= noise_sigma2 <= 1e300, keeps the noise
+              # power, the signal's times 10**(-snr_db / 10), finite
+              "snr_db": _Kind(float, "numbers in [-3000, 3000] or inf", -3000.0, 3000.0,
+                              many=True, choices=(math.inf,)),
               "min_separation_bins": _NON_NEGATIVE, "f_dev_hz": replace(_NON_NEGATIVE, many=True)},
-    "zones": {"n_zones": _COUNT, "trials": _COUNT, "noise_sigma2": _POSITIVE,
+    "zones": {"n_zones": _COUNT, "trials": _COUNT,
+              "noise_sigma2": _Kind(float, "positive and finite, in [1e-300, 1e300]",
+                                    1e-300, 1e300),
               "k_values": _integer(1, many=True), "k_max": _COUNT},
 }
 
@@ -294,7 +299,8 @@ def _value(config, section: str, key: str):
         else:
             values = [kind.convert(tok) for tok in (raw.split() if kind.many else [raw])]
         admitted = values and all(
-            v in kind.choices if kind.choices else kind.low <= v <= kind.high for v in values)
+            v in kind.choices or not isinstance(v, str) and kind.low <= v <= kind.high
+            for v in values)
     except ValueError:
         admitted = False
     if not admitted:
@@ -722,8 +728,6 @@ def _run(experiment: str, config, seed: int, scale: str) -> ResultManifest:
     try:
         records, notes, *extra = spec.body(config, seed)
     except ScheduleError as exc:
-        if exc.grid_field is None:
-            raise
         key = "t_atom_s" if exc.grid_field == "t_atom" else "n_points"
         raise ConfigError(f"[grid] {key} = {config['grid'][key]}: {exc}") from exc
     return ResultManifest(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -20,13 +20,13 @@ TWO_PI = 2.0 * math.pi
 
 
 class ScheduleError(RuntimeError):
-    """Zero-crossing search failed or the grid cannot resolve the schedule.
+    """The atomic grid cannot resolve the clock's sample schedule.
 
     ``grid_field`` is the TimeGrid field (``"t_atom"`` or ``"n_points"``) whose
-    value alone decides the failure for the given clock, or None.
+    value alone decides the failure for the given clock.
     """
 
-    def __init__(self, message: str, grid_field: Optional[str] = None) -> None:
+    def __init__(self, message: str, grid_field: str) -> None:
         super().__init__(message)
         self.grid_field = grid_field
 
@@ -161,22 +161,18 @@ def theta_rate(modulation: Modulation, t):
 
 @dataclass(frozen=True)
 class SampleSchedule:
-    """Non-uniform sample times: exact crossing times plus their grid indices."""
+    """Non-uniform sample instants: strictly increasing indices into the atomic
+    grid, sample k taken at ``indices[k] * t_atom``."""
 
     indices: np.ndarray
-    times: np.ndarray
 
     def __post_init__(self) -> None:
         indices = np.asarray(self.indices, dtype=np.int64)
-        times = np.asarray(self.times, dtype=float)
-        if len(indices) != len(times):
-            raise ValueError("indices and times must have equal length")
-        if len(indices) == 0:
-            raise ValueError("schedule is empty")
-        if len(indices) > 1 and (np.any(np.diff(indices) <= 0) or np.any(np.diff(times) <= 0)):
+        if indices.ndim != 1 or len(indices) == 0:
+            raise ValueError("schedule must be a non-empty 1-d index array")
+        if np.any(np.diff(indices) <= 0):
             raise ValueError("schedule must be strictly increasing")
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "times", times)
 
     @property
     def size(self) -> int:
@@ -185,7 +181,7 @@ class SampleSchedule:
     def truncated(self, k: int) -> "SampleSchedule":
         if not (1 <= k <= self.size):
             raise ValueError("truncation length out of range")
-        return SampleSchedule(self.indices[:k], self.times[:k])
+        return SampleSchedule(self.indices[:k])
 
 
 def _robust_cycle_count(f_s1: float, duration: float) -> int:
@@ -194,54 +190,48 @@ def _robust_cycle_count(f_s1: float, duration: float) -> int:
     return int(math.floor(x * (1.0 + 1e-12) + 1e-12))
 
 
-def _clock_phase(modulation: Modulation, omega: float, t: np.ndarray) -> np.ndarray:
-    phase = theta_eval(modulation, t)
-    phase += omega * t
-    return phase
-
-
 def compute_sample_schedule(clock: ClockConfig, grid: TimeGrid) -> SampleSchedule:
-    """Solve for the clock's positive-slope zero crossings and snap them to the grid.
+    """The clock's positive-slope zero crossings, snapped to the atomic grid.
 
     Crossing k, for k = 0 .. floor(f_s1 * duration) - 1, is the first time the
-    clock phase ``2 pi f_s1 t + theta(t)`` reaches ``2 pi k``, kept while its
-    nearest grid index (ties to the earlier) lies inside the window.
+    clock phase ``2 pi f_s1 t + theta(t)`` reaches ``2 pi k``; its sample index
+    is the nearest grid index (ties to the earlier), kept while inside the
+    window. Only the indices are solved for, never the crossing times.
 
     Raises
     ------
     ScheduleError
-        If the grid is shorter than one clock cycle or two crossings quantize
-        to the same grid index (``grid_field`` names the TimeGrid field at
-        fault), or a crossing time misses the phase tolerance.
+        If the grid is shorter than one clock cycle (``grid_field`` is
+        ``"n_points"``) or two crossings quantize to the same grid index
+        (``"t_atom"``).
     """
     f_s1 = clock.f_s1
     if grid.duration < 1.0 / f_s1:
         raise ScheduleError("grid shorter than one clock cycle", grid_field="n_points")
-    omega, mod, t_atom = TWO_PI * f_s1, clock.modulation, grid.t_atom
+    omega, mod = TWO_PI * f_s1, clock.modulation
     levels = TWO_PI * np.arange(_robust_cycle_count(f_s1, grid.duration))
     # Crossing k snaps to index j when it lies in ((j - 1/2) t_atom, (j + 1/2) t_atom]:
     # j is the first atom midpoint where the phase's running maximum reaches 2 pi k,
     # which after a sawtooth resweep waits for the phase to pass its earlier peak.
     # Index < N keeps the crossings before the last midpoint, inside the window.
-    peak = _clock_phase(mod, omega, (np.arange(grid.n_points) + 0.5) * t_atom)
+    mid = (np.arange(grid.n_points) + 0.5) * grid.t_atom
+    peak = theta_eval(mod, mid)
+    peak += omega * mid
+    if isinstance(mod, LinearChirp) and mod.period <= mid[-1]:
+        # before each resweep the phase climbs toward a peak it never attains:
+        # fold the left limit of the last resweep before each midpoint, just below
+        resweep = np.floor(mid / mod.period) * mod.period
+        limit = np.nextafter(omega * resweep + math.pi * mod.f_dev * mod.period, 0.0)
+        np.maximum(peak, limit, out=peak, where=resweep > 0.0)
     indices = np.searchsorted(np.maximum.accumulate(peak, out=peak), levels)
     indices = indices[indices < grid.n_points]
-    levels = levels[: len(indices)]
     same = np.flatnonzero(np.diff(indices) == 0)
     if same.size:
         c = int(same[0])
         raise ScheduleError(
             f"crossings {c} and {c + 1} both quantize to grid index {indices[c]}; "
             "atomic grid too coarse for this clock", grid_field="t_atom")
-    # Newton from each bracket's right end: the phase is smooth over one atom,
-    # so four steps take the error far below the tolerance
-    times = (indices + 0.5) * t_atom
-    for _ in range(4):
-        step = (_clock_phase(mod, omega, times) - levels) / (omega + theta_rate(mod, times))
-        np.maximum(times - step, 0.0, out=times)  # crossing 0 sits at t = 0, the window's start
-    if not np.all(np.abs(_clock_phase(mod, omega, times) - levels) < 1e-9 * TWO_PI):
-        raise ScheduleError("crossing search failed to converge")
-    return SampleSchedule(indices, times)
+    return SampleSchedule(indices)
 
 
 def sample_tones(tones: Sequence[ToneSpec], times: np.ndarray) -> np.ndarray:

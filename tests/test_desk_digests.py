@@ -1,0 +1,47 @@
+"""The committed desk-output digests of tools/desk_digests.py.
+
+Running the six desk presets takes minutes, so these tests only check that the
+digest file parses, covers every experiment's outputs, and that a mismatch is
+reported with its first differing row.
+"""
+
+import importlib.util
+import re
+from pathlib import Path
+
+from nyfold.experiments import EXPERIMENTS
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "desk_digests.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("desk_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_file_covers_every_experiment():
+    digests = load_tool().load_digests()
+    assert tuple(digests) == EXPERIMENTS
+    for experiment, files in digests.items():
+        extra = {"spectrogram.csv"} if experiment == "spectrum" else set()
+        assert set(files) == {"results.csv", "manifest.txt"} | extra
+        for entry in files.values():
+            assert re.fullmatch("[0-9a-f]{64}", entry["sha256"])
+            rows = entry["rows"].split()
+            assert rows and all(re.fullmatch("[0-9a-f]{8}", row) for row in rows)
+
+
+def test_mismatch_names_the_first_differing_row(capsys):
+    tool = load_tool()
+    rows = ["c_k", "1", "0.5", "0.25"]
+    expected = {"results.csv": tool.file_digest(rows)}
+    assert tool.compare("mod-constant", expected, {"results.csv": tool.file_digest(rows)})
+    moved = {"results.csv": tool.file_digest(rows[:2] + ["0.5000000000000001"] + rows[3:])}
+    assert not tool.compare("mod-constant", expected, moved)
+    assert capsys.readouterr().out.splitlines() == [
+        "mod-constant/results.csv: match",
+        "mod-constant/results.csv: mismatch, first differing row 3 "
+        "(4 rows expected, 4 written)",
+    ]

@@ -377,6 +377,11 @@ def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys
         ("recovery-sweep", "sweep", "sparsity", "400"),  # K = 327 on this grid
         ("recovery-sweep", "sweep", "snr_db", "nan"),
         ("recovery-sweep", "sweep", "snr_db", "10 -inf"),
+        ("recovery-sweep", "sweep", "snr_db", "4000"),  # 10**400 overflows
+        ("recovery-sweep", "sweep", "snr_db", "-4000"),  # 10**-400 underflows to 0
+        ("recovery-sweep", "sweep", "snr_db", "-3080"),  # noise power overflows
+        ("zone-id", "zones", "noise_sigma2", "1e-320"),  # snr_db = 3200
+        ("zone-id", "zones", "noise_sigma2", "1e308"),  # snr_db = -3080
         ("zone-id", "zones", "trials", "0"),
         ("zone-id", "zones", "n_zones", "0"),
         ("zone-id", "zones", "k_max", "0"),
@@ -419,6 +424,23 @@ def test_out_of_range_config_value_exits_2(experiment, section, key, value, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment,section,key,value",
+    [
+        ("recovery-sweep", "sweep", "snr_db", "3000 -3000 inf"),
+        ("zone-id", "zones", "noise_sigma2", "1e-300"),
+        ("zone-id", "zones", "noise_sigma2", "1e300"),
+    ],
+)
+def test_noise_domain_edges_run(experiment, section, key, value, tmp_path):
+    """The noise settings at the ends of their domains give a finite noise power and run."""
+    sections = {name: dict(keys) for name, keys in TINY_OVERRIDES[experiment].items()}
+    sections.setdefault(section, {})[key] = value
+    ini = tmp_path / "edge.ini"
+    write_sections(ini, sections)
+    assert cli.main([experiment, "--config", str(ini), "--out", str(tmp_path / "o")]) == 0
+
+
 FUZZ_KEYS = [(experiment, section, key) for experiment in EXPERIMENTS
              for section, keys in PRESETS[experiment].items() for key in keys]
 
@@ -427,12 +449,13 @@ def out_of_domain(kind, preset):
     """Values of ``kind`` outside its domain: malformed text, nan, +-inf, numbers
     below or above the bounds, empty lists and bad ranges. ``preset`` is an
     in-domain value of the key, to put a bad entry among good ones."""
-    bad = ["abc", "1x", "0x10", "1,2", "--1", "nan", "-inf"] + ["inf"] * (kind.high < math.inf)
+    bad = ["abc", "1x", "0x10", "1,2", "--1", "nan", "-inf"]
+    bad += ["inf"] * (kind.high < math.inf and math.inf not in kind.choices)
     tokens = [st.sampled_from(bad)]
     if kind.convert is int:
         tokens.append(st.integers(max_value=kind.low - 1).map(str))
         tokens.append(st.floats(allow_nan=False).map(repr))
-    elif not kind.choices:
+    elif kind.convert is float:
         below, above = math.nextafter(kind.low, -math.inf), math.nextafter(kind.high, math.inf)
         if below > -math.inf:
             tokens.append(st.floats(max_value=below, allow_nan=False).map(repr))
@@ -490,7 +513,7 @@ def test_spectrogram_matches_scipy_short_time_fft(window, hop_fraction, extra, s
     samples = rng.standard_normal(len(indices))
     grid = signal_clock.TimeGrid(t_atom, n)
     clock = signal_clock.ClockConfig(grid.f_atomic * rng.uniform(0.1, 1.2))
-    schedule = signal_clock.SampleSchedule(indices, indices * t_atom)
+    schedule = signal_clock.SampleSchedule(indices)
     config = {"spectrum": {"stft_window": str(window), "stft_hop": str(hop)}}
     got = _spectrogram_table(samples, schedule, grid, clock, config)
 

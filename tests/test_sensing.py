@@ -213,7 +213,7 @@ class TestOperatorAlgebra:
         """<Phi x, y> == <x, Phi* y> for random schedules and dense x, y."""
         grid = TimeGrid(t_atom=1.0 / 256, n_points=256)
         indices = np.array(sorted(picks), dtype=np.int64)
-        op = SensingOperator(grid, SampleSchedule(indices, indices * grid.t_atom))
+        op = SensingOperator(grid, SampleSchedule(indices))
         x = x[0] + 1j * x[1]
         y = (y[0] + 1j * y[1])[: op.k_measurements]
         phi_x, phi_star_y = op.forward(x), op.adjoint(y)
@@ -258,7 +258,7 @@ class TestScipyOracle:
         rng = np.random.default_rng(n)
         indices = np.sort(rng.choice(n, size=n // 40, replace=False))
         grid = TimeGrid(t_atom=1e-10, n_points=n)
-        return SensingOperator(grid, SampleSchedule(indices, indices * grid.t_atom)), rng
+        return SensingOperator(grid, SampleSchedule(indices)), rng
 
     @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_adjoint_and_forward(self, n):
@@ -369,7 +369,7 @@ class TestGramAndDeviation:
         support = data.draw(st.lists(bins, min_size=1, max_size=32, unique=True))
         grid = TimeGrid(t_atom=1.0 / n, n_points=n)
         indices = np.array(sorted(picks), dtype=np.int64)
-        op = SensingOperator(grid, SampleSchedule(indices, indices * grid.t_atom))
+        op = SensingOperator(grid, SampleSchedule(indices))
         atoms = op.atoms(support)
         gram = op.gram_matrix(support)
         assert_allclose(gram, atoms.conj().T @ atoms, rtol=0, atol=1e-12)
@@ -381,7 +381,7 @@ class TestGramAndDeviation:
         rng = np.random.default_rng(n_points)
         grid = TimeGrid(t_atom=1.0 / n_points, n_points=n_points)
         indices = np.sort(rng.choice(n_points, size=40, replace=False))
-        op = SensingOperator(grid, SampleSchedule(indices, indices * grid.t_atom))
+        op = SensingOperator(grid, SampleSchedule(indices))
         spec = random_spectrum(rng, n_points, 16)
         atoms = op.atoms(spec.bins)
         x_norm = np.linalg.norm(spec.coefficients)

@@ -46,7 +46,7 @@ def reference_schedule(clock, grid):
     omega = TWO_PI * f_s1
     duration = grid.duration
     if duration < 1.0 / f_s1:
-        raise ScheduleError("grid shorter than one clock cycle")
+        raise ScheduleError("grid shorter than one clock cycle", grid_field="n_points")
     mod = clock.modulation
     k_target = _robust_cycle_count(f_s1, duration)
     tol = 1e-9 * TWO_PI
@@ -71,7 +71,8 @@ def reference_schedule(clock, grid):
             break
         if count > 0 and idx == indices[count - 1]:
             raise ScheduleError(f"crossings {count - 1} and {count} both quantize to grid index "
-                                f"{idx}; atomic grid too coarse for this clock")
+                                f"{idx}; atomic grid too coarse for this clock",
+                                grid_field="t_atom")
         times[count] = t
         indices[count] = idx
         count += 1
@@ -100,7 +101,7 @@ def _newton_crossing(mod, omega, target, t, tol, max_step):
 
 def _bracketed_crossing(mod, omega, target, t_prev, f_s1, tol):
     if not math.isfinite(t_prev):
-        raise ScheduleError("crossing search failed to converge")
+        raise RuntimeError("crossing search failed to converge")
     lo = t_prev
     hi = t_prev
     # grow the probe geometrically: a sawtooth resweep can throw the phase
@@ -113,7 +114,7 @@ def _bracketed_crossing(mod, omega, target, t_prev, f_s1, tol):
         lo = hi
         span *= 1.5
     else:
-        raise ScheduleError("no zero crossing found beyond the previous sample")
+        raise RuntimeError("no zero crossing found beyond the previous sample")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if omega * mid + _theta(mod, mid) - target < 0.0:
@@ -122,8 +123,30 @@ def _bracketed_crossing(mod, omega, target, t_prev, f_s1, tol):
             hi = mid
     t = _newton_crossing(mod, omega, target, hi, tol, 0.5 / f_s1)
     if t is None or t <= t_prev:
-        raise ScheduleError("crossing search failed to converge after resweep")
+        raise RuntimeError("crossing search failed to converge after resweep")
     return t
+
+
+def first_passage_indices(clock, grid):
+    """Exact first passages of a LinearChirp clock, sweep by sweep. Between
+    resweeps the phase rises monotonically; before the resweep at (s + 1) P it
+    climbs toward ``2 pi f_s1 (s + 1) P + pi f_dev P`` without attaining it.
+    Level 2 pi k is first passed in the first sweep whose peak exceeds it, and
+    found there by bisection. Returns the nearest grid indices (ties to the
+    earlier) inside the window."""
+    mod, omega = clock.modulation, TWO_PI * clock.f_s1
+    period, rate = mod.period, math.pi * mod.f_dev / mod.period
+    levels = TWO_PI * np.arange(_robust_cycle_count(clock.f_s1, grid.duration))
+    sweeps = np.arange(int(grid.duration / period) + 2)
+    peaks = omega * (sweeps + 1) * period + math.pi * mod.f_dev * period
+    start = np.searchsorted(peaks, levels, side="right") * period
+    lo, hi = start, start + period
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = omega * mid + rate * (mid - start) ** 2 < levels
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    indices = np.ceil(hi / grid.t_atom - 0.5).astype(np.int64)
+    return indices[indices < grid.n_points]
 
 
 def preset_schedules():
@@ -235,20 +258,16 @@ class TestSampleSchedule:
         sched = compute_sample_schedule(clock, grid)
         # 2e8 * 1e-5 = 2000 crossings, one every 50 atoms
         assert sched.size == 2000
-        assert np.unique(np.diff(sched.indices)).tolist() == [50]
-        assert_allclose(sched.times, np.arange(2000) / 2e8, rtol=1e-12)
+        assert np.array_equal(sched.indices, 50 * np.arange(2000))
 
     def test_crossings_satisfy_phase_equation(self):
-        """Each reported time must solve w*t + theta(t) = 2*pi*k."""
+        """Each crossing time of the reference solver, whose indices the
+        schedule must match, solves w*t + theta(t) = 2*pi*k."""
         grid = TimeGrid(t_atom=1e-10, n_points=100_000)
         clock = ClockConfig(f_s1=2e8, modulation=LinearChirp(1e7, 1e-5))
-        sched = compute_sample_schedule(clock, grid)
-        k = np.arange(sched.size)
-        residual = (
-            TWO_PI * clock.f_s1 * sched.times
-            + theta_eval(clock.modulation, sched.times)
-            - TWO_PI * k
-        )
+        _, times = reference_schedule(clock, grid)
+        k = np.arange(len(times))
+        residual = TWO_PI * clock.f_s1 * times + theta_eval(clock.modulation, times) - TWO_PI * k
         assert np.max(np.abs(residual)) < 1e-6
 
     def test_count_matches_nominal_cycle_count(self):
@@ -260,25 +279,25 @@ class TestSampleSchedule:
     def test_upchirp_compresses_sample_spacing(self):
         grid = TimeGrid(t_atom=1e-10, n_points=100_000)
         clock = ClockConfig(f_s1=2e8, modulation=LinearChirp(1e7, 1e-5))
-        sched = compute_sample_schedule(clock, grid)
-        gaps = np.diff(sched.times)
-        # instantaneous rate rises through the sweep, so gaps shrink
-        assert gaps[-1] < gaps[0]
-        assert_allclose(gaps[0], 1.0 / 2e8, rtol=1e-3)
-        assert gaps[-1] > 1.0 / (2e8 + 1e7) * 0.99
+        gaps = np.diff(compute_sample_schedule(clock, grid).indices)
+        # instantaneous rate rises through the sweep, so gaps shrink: from
+        # 1 / 2e8 s = 50 atoms to 1 / 2.1e8 s = 47.6 atoms, each within one atom
+        assert np.mean(gaps[-100:]) < np.mean(gaps[:100])
+        assert np.all(np.abs(gaps[:10] - 50.0) <= 1)
+        assert np.all(np.abs(gaps[-10:] - 1e10 / 2.1e8) <= 1)
 
     def test_indices_quantize_to_nearest_atom(self):
         grid = TimeGrid(t_atom=1e-10, n_points=100_000)
         clock = ClockConfig(f_s1=2e8, modulation=Sinusoid(5e6, 1e-5))
         sched = compute_sample_schedule(clock, grid)
-        offsets = sched.times / grid.t_atom - sched.indices
+        _, times = reference_schedule(clock, grid)
+        offsets = times / grid.t_atom - sched.indices
         assert np.max(np.abs(offsets)) <= 0.5 + 1e-9
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            SampleSchedule(indices=np.array([3, 3]), times=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            SampleSchedule(indices=np.array([3, 4]), times=np.array([2.0, 1.0]))
+        for indices in ([3, 3], [4, 3], [], [[1, 2], [3, 4]]):
+            with pytest.raises(ValueError):
+                SampleSchedule(np.array(indices, dtype=np.int64))
 
     def test_truncated_prefix(self):
         grid = TimeGrid(t_atom=1e-10, n_points=100_000)
@@ -291,29 +310,39 @@ class TestSampleSchedule:
         # clock so fast that two crossings land on the same atom
         grid = TimeGrid(t_atom=1e-10, n_points=1000)
         clock = ClockConfig(f_s1=3e10, modulation=None)
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="both quantize") as info:
             compute_sample_schedule(clock, grid)
+        assert info.value.grid_field == "t_atom"
 
     @pytest.mark.parametrize("clock,grid", preset_schedules())
     def test_matches_per_crossing_reference(self, clock, grid):
-        """The array solve gives the reference solver's indices bitwise and its
-        times to within the phase tolerance over the clock rate."""
-        indices, times = reference_schedule(clock, grid)
-        sched = compute_sample_schedule(clock, grid)
-        assert np.array_equal(sched.indices, indices)
-        assert_allclose(sched.times, times, rtol=0.0, atol=1e-16)
+        """The array solve gives the reference solver's indices bitwise."""
+        indices, _ = reference_schedule(clock, grid)
+        assert np.array_equal(compute_sample_schedule(clock, grid).indices, indices)
 
     def test_crossings_are_first_passages(self):
-        # resweeps every 1310 atoms: the phase passes some 2 pi k just before
-        # a resweep and again after it relocks; the first passage counts
+        # resweeps every 1310 atoms, then at random points of the window: the
+        # phase passes some 2 pi k just before a resweep and again after it
+        # relocks; the first passage counts
         grid = TimeGrid(t_atom=1e-10, n_points=20_000)
-        clock = ClockConfig(f_s1=2e8, modulation=LinearChirp(2.5e7, 1.31e-7))
+        rng = np.random.default_rng(14)
+        laws = [LinearChirp(2.5e7, 1.31e-7)] + [
+            LinearChirp(rng.uniform(1e5, 5e7), rng.uniform(0.05, 0.6) * grid.duration)
+            for _ in range(40)]
+        for law in laws:
+            clock = ClockConfig(f_s1=2e8, modulation=law)
+            sched = compute_sample_schedule(clock, grid)
+            assert np.array_equal(sched.indices, first_passage_indices(clock, grid)), law
+
+    def test_first_passage_just_before_a_resweep(self):
+        # crossing 226 is at 11273.958 atoms and the resweep at 11274.479: the
+        # level is passed after the last midpoint before the resweep, on the
+        # way to a peak the phase never attains
+        grid = TimeGrid(t_atom=1e-10, n_points=20_000)
+        clock = ClockConfig(2e8, LinearChirp(924013.8983499529, 1.1274478675518747e-06))
         sched = compute_sample_schedule(clock, grid)
-        fine = np.arange(16 * grid.n_points) * (grid.t_atom / 16)
-        peak = np.maximum.accumulate(TWO_PI * clock.f_s1 * fine
-                                     + theta_eval(clock.modulation, fine))
-        before = np.searchsorted(fine, sched.times[1:] - grid.t_atom / 32) - 1
-        assert np.all(peak[before] < TWO_PI * np.arange(1, sched.size))
+        assert sched.indices[226] == 11274
+        assert np.array_equal(sched.indices, first_passage_indices(clock, grid))
 
     def test_survives_sawtooth_resweep(self):
         # two sweeps inside the window: the phase jumps back by
@@ -322,13 +351,12 @@ class TestSampleSchedule:
         grid = TimeGrid(t_atom=1e-10, n_points=100_000)
         period = 0.5 * grid.duration
         clock = ClockConfig(f_s1=2e8, modulation=LinearChirp(1e7, period))
-        sched = compute_sample_schedule(clock, grid)
-        gaps = np.diff(sched.times)
-        assert np.all(gaps > 0.0)
+        indices = compute_sample_schedule(clock, grid).indices
+        gaps = np.diff(indices)
         widest = int(np.argmax(gaps))
         skipped_cycles = 1e7 * period / 2.0
-        assert_allclose(gaps[widest], skipped_cycles / 2e8, rtol=0.05)
-        assert abs(sched.times[widest] - period) < 2.0 / 2e8
+        assert_allclose(gaps[widest], skipped_cycles / 2e8 / grid.t_atom, rtol=0.05)
+        assert abs(indices[widest] - period / grid.t_atom) < 2.0 / 2e8 / grid.t_atom
 
 
 class TestSynthesisAndNoise:
@@ -386,7 +414,7 @@ class TestSynthesisAndNoise:
         grid = TimeGrid(t_atom, n_points)
         specs = [ToneSpec(f * grid.f_atomic, a, p) for f, a, p in tones]
         indices = np.array(sorted({i % n_points for i in picks}), dtype=np.int64)
-        schedule = SampleSchedule(indices, indices * t_atom)
+        schedule = SampleSchedule(indices)
         sampled = sample_tones(specs, schedule.indices * grid.t_atom)
         assert np.array_equal(sampled, synthesize_signal(specs, grid)[schedule.indices])
         real = synthesize_signal(specs, grid).real[schedule.indices]

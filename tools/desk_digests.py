@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Check the six desk presets' outputs against committed SHA-256 digests.
+
+Run from the repository root:
+
+    python3 tools/desk_digests.py            # compare against tools/desk_digests.json
+    python3 tools/desk_digests.py --write    # record the current outputs' digests
+
+Each experiment runs as a fresh ``python -m nyfold.cli EXPERIMENT --scale desk
+--seed 0`` process with ``PYTHONPATH=src``, one at a time, into a temporary
+directory. Its ``results.csv``, any extra table (``spectrogram.csv``) and its
+``manifest.txt`` without the ``wall_clock_s`` line are hashed whole and row by
+row. The script prints ``match`` or ``mismatch`` per file, and on a mismatch
+the first row whose digest differs. Desk ``recovery-sweep`` alone takes 6-16
+minutes on a 2-core machine. Exit status: 0 all match, 1 any mismatch or
+failed run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().with_name("desk_digests.json")
+sys.path.insert(0, str(ROOT / "src"))
+from nyfold.experiments import EXPERIMENTS  # noqa: E402
+
+SEED = 0
+ROW_DIGEST_CHARS = 8
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _rows(path: Path) -> list[str]:
+    rows = path.read_text(encoding="utf-8").splitlines()
+    if path.name == "manifest.txt":
+        rows = [row for row in rows if not row.startswith("wall_clock_s = ")]
+    return rows
+
+
+def file_digest(rows: list[str]) -> dict:
+    """Whole-file and per-row digests of one output's rows."""
+    return {"sha256": _sha256("\n".join(rows) + "\n"),
+            "rows": " ".join(_sha256(row)[:ROW_DIGEST_CHARS] for row in rows)}
+
+
+def run_preset(experiment: str, out_dir: Path) -> dict:
+    """Run one desk preset in a fresh process and digest the files it writes."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nyfold.cli", experiment, "--scale", "desk",
+         "--seed", str(SEED), "--out", str(out_dir)],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{experiment} exited {proc.returncode}: {proc.stderr.strip()}")
+    return {path.name: file_digest(_rows(path)) for path in sorted(out_dir.iterdir())}
+
+
+def compare(experiment: str, expected: dict, actual: dict) -> bool:
+    """Print one line per file; on a mismatch, the first differing row."""
+    ok = True
+    for name in sorted(set(expected) | set(actual)):
+        want, got = expected.get(name), actual.get(name)
+        if want is None or got is None:
+            missing = "not written" if got is None else "no digest"
+            print(f"{experiment}/{name}: mismatch ({missing})")
+            ok = False
+        elif want["sha256"] == got["sha256"]:
+            print(f"{experiment}/{name}: match")
+        else:
+            want_rows, got_rows = want["rows"].split(), got["rows"].split()
+            row = next((i for i, (a, b) in enumerate(zip(want_rows, got_rows)) if a != b),
+                       min(len(want_rows), len(got_rows)))
+            print(f"{experiment}/{name}: mismatch, first differing row {row + 1} "
+                  f"({len(want_rows)} rows expected, {len(got_rows)} written)")
+            ok = False
+    return ok
+
+
+def load_digests(path: Path = DIGESTS) -> dict:
+    """The committed digest file: experiment -> file name -> digests."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help="record the current outputs' digests instead of comparing")
+    args = parser.parse_args(argv)
+    expected = {} if args.write else load_digests()
+    digests, ok = {}, True
+    with tempfile.TemporaryDirectory() as tmp:
+        for experiment in EXPERIMENTS:
+            try:
+                actual = run_preset(experiment, Path(tmp) / experiment)
+            except RuntimeError as exc:
+                print(f"{experiment}: failed: {exc}")
+                ok = False
+                continue
+            if args.write:
+                digests[experiment] = actual
+                print(f"{experiment}: recorded {', '.join(actual)}")
+            else:
+                ok &= compare(experiment, expected.get(experiment, {}), actual)
+    if args.write and ok:
+        DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
