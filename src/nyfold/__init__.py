@@ -27,7 +27,6 @@ from .signal_clock import (
     sample_tones,
     synthesize_signal,
     theta_eval,
-    theta_rate,
 )
 from .sensing import (
     SensingOperator,
@@ -77,7 +76,6 @@ __all__ = [
     "sample_tones",
     "synthesize_signal",
     "theta_eval",
-    "theta_rate",
     "SensingOperator",
     "SparseSpectrum",
     "empirical_rip",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .signal_clock import (
     TimeGrid,
     ToneSpec,
     add_noise,
-    compute_sample_schedule,
+    fold_tone,
     sample_tones,
 )
 
@@ -130,19 +130,18 @@ def simulate_nz_trials(
     k_values: Sequence[int],
     trials: int,
     seed: int,
-    schedule: Optional[SampleSchedule] = None,
+    schedule: SampleSchedule,
 ) -> np.ndarray:
     """Monte Carlo zone identification through one-step greedy detection.
 
     Per trial a single tone is drawn uniformly over the first ``n_zones``
-    zones, evaluated at the K sample times of the modulated schedule (the
-    ``schedule``, solved here unless given, truncated to K samples) and noised
+    zones, evaluated at the first K sample times of ``schedule`` and noised
     there at ``snr_db`` per sample against the sampled tone's mean power. The
     trials of one K take one OMP step together, as one ``omp_recover_batch``
-    call. The strongest dictionary bin maps back to a zone by its frequency;
-    the trial succeeds when that zone is the tone's.
+    call. The strongest dictionary bin's frequency and the tone's each fold to
+    a zone (``fold_tone``); the trial is a hit when the two zones agree.
 
-    Returns the success fraction per entry of ``k_values``.
+    Returns the int64 hit count, out of ``trials``, per entry of ``k_values``.
     """
     if n_zones < 1:
         raise ValueError("n_zones must be at least 1")
@@ -150,13 +149,12 @@ def simulate_nz_trials(
         raise ValueError("need at least one trial")
     if n_zones * clock.f_s1 / 2.0 > grid.f_atomic / 2.0:
         raise ValueError("zone span exceeds the representable band")
-    schedule = compute_sample_schedule(clock, grid) if schedule is None else schedule
     for k in k_values:
         if not (1 <= k <= schedule.size):
             raise ValueError(f"K = {k} exceeds the {schedule.size} available samples")
 
     band = n_zones * clock.f_s1 / 2.0
-    fractions = np.empty(len(k_values), dtype=float)
+    hits = np.empty(len(k_values), dtype=np.int64)
     for ki, k in enumerate(k_values):
         op = SensingOperator(grid, schedule.truncated(int(k)))
         times = op.schedule.indices * grid.t_atom
@@ -169,11 +167,10 @@ def simulate_nz_trials(
             tone = ToneSpec(frequency=freq, amplitude=1.0, phase=phase)
             clean = sample_tones([tone], times)
             measurements[trial] = add_noise(clean, snr_db, seed=int(rng.integers(2**63)))
-            zones_true.append(math.floor(2.0 * freq / clock.f_s1))
+            zones_true.append(fold_tone(freq, clock).nyquist_zone)
         results = omp_recover_batch(op, measurements, max_iters=1)
-        hits = sum(
-            math.floor(2.0 * result.support[0] * grid.f_res / clock.f_s1) == zone_true
+        hits[ki] = sum(
+            fold_tone(result.support[0] * grid.f_res, clock).nyquist_zone == zone_true
             for result, zone_true in zip(results, zones_true)
         )
-        fractions[ki] = hits / trials
-    return fractions
+    return hits

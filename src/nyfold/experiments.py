@@ -74,7 +74,6 @@ class ResultManifest:
     fieldnames: list[str]
     records: list[dict]
     notes: dict[str, str] = field(default_factory=dict)
-    version: str = __version__
     wall_clock_s: float = 0.0
     extra_tables: dict[str, list[list[str]]] = field(default_factory=dict)
 
@@ -91,7 +90,7 @@ class ResultManifest:
                 "experiment": self.experiment,
                 "scale": self.scale,
                 "seed": str(self.seed),
-                "version": self.version,
+                "version": __version__,
                 "records": str(len(self.records)),
                 "wall_clock_s": repr(self.wall_clock_s),
             }
@@ -107,8 +106,6 @@ class ResultManifest:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -128,7 +125,8 @@ def write_sections(path, sections: dict[str, dict[str, str]]) -> None:
 
 
 def read_sections(path) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the default section "": resolve_config rejects a [DEFAULT] as unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
@@ -272,7 +270,8 @@ KINDS: dict[str, dict[str, _Kind]] = {
     "clock": {"f_s1_hz": _POSITIVE, "f_dev_hz": _NON_NEGATIVE, "period_s": _POSITIVE,
               "modulation": _Kind(str.lower, "none, chirp or sine",
                                   choices=("none", "chirp", "sine"))},
-    "estimate": {"k_max": _COUNT, "sparsity_for_bound": _COUNT},
+    # delta_1 is 0 for unit-norm atoms, and s = 2 would name delta_s's note delta2_bound
+    "estimate": {"k_max": _COUNT, "sparsity_for_bound": _integer(3)},
     "tones": {"frequencies_hz": _FINITES, "amplitudes": _FINITES, "phases_rad": _FINITES},
     "spectrum": {"stft_window": _integer(8), "stft_hop": _COUNT,
                  "signal_mode": _Kind(str.lower, "real or complex", choices=("real", "complex"))},
@@ -558,10 +557,10 @@ def _zone_id(config, seed: int):
     step = 1.0 / clock.f_s1
     snr_db = -10.0 * math.log10(sigma2)
 
-    empirical = simulate_nz_trials(grid, clock, snr_db, n_zones, k_values, trials,
-                                   seed=fanout_seed(seed, "zone-id", 0, 0), schedule=schedule)
+    hits = simulate_nz_trials(grid, clock, snr_db, n_zones, k_values, trials,
+                              seed=fanout_seed(seed, "zone-id", 0, 0), schedule=schedule)
     records = []
-    for ki, k in enumerate(k_values):
+    for k, successes in zip(k_values, hits.tolist()):
         model = ChirpModel(
             amplitude=1.0,
             chirp_rate=slope_spacing,
@@ -573,14 +572,14 @@ def _zone_id(config, seed: int):
         )
         crb_p = nz_probability_from_crb(model, slope_spacing)
         bound = detection_probability_bound(int(k), grid.n_points, delta2, sigma2)
-        fraction = float(empirical[ki])
+        fraction = successes / trials
         records.append(
             {
                 "k_samples": int(k),
                 "theorem_lower_bound": bound,
                 "crb_probability": crb_p,
                 "empirical_probability": fraction,
-                "successes": int(round(fraction * trials)),
+                "successes": successes,
                 "trials": trials,
                 "standard_error": math.sqrt(fraction * (1.0 - fraction) / trials),
             }
@@ -612,10 +611,13 @@ def _deviation_sweep(config, seed: int):
         raise ConfigError(f"[sweep] sparsity = {max(sparsities)} exceeds the "
                           f"grid's {grid.n_points} points")
 
+    labels = [f"f_dev_{f_dev:g}" for f_dev in f_devs]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"[sweep] f_dev_hz values share a note label: {', '.join(labels)}")
     clocks = [_build_clock(config, f_dev_override=f_dev) for f_dev in f_devs]
     records = []
     notes: dict[str, str] = {}
-    for fi, (f_dev, clock) in enumerate(zip(f_devs, clocks)):
+    for fi, (f_dev, label, clock) in enumerate(zip(f_devs, labels, clocks)):
         schedule = compute_sample_schedule(clock, grid)
         op = SensingOperator(grid, schedule)
         maxima = []
@@ -634,7 +636,6 @@ def _deviation_sweep(config, seed: int):
                 }
             )
         slope, intercept, r2 = _linear_fit(np.asarray(sparsities, float), np.asarray(maxima))
-        label = f"f_dev_{f_dev:g}"
         notes[f"{label}_slope_per_tone"] = repr(slope)
         notes[f"{label}_intercept"] = repr(intercept)
         notes[f"{label}_r_squared"] = repr(r2)

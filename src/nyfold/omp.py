@@ -155,17 +155,15 @@ def _omp_block(
         for r, correlation in zip(active, correlations):
             support = supports[r]
             np.abs(correlation, out=magnitude)
-            if support:
-                magnitude[support] = -1.0
+            magnitude[support] = -1.0
             bin_j = int(np.argmax(magnitude))  # argmax takes the lowest bin on ties
             corr_mag = float(magnitude[bin_j])
 
             atom = op.atoms([bin_j])[:, 0]
             i = len(support)
-            if i:
-                cross = selected[r, :, :i].conj().T @ atom
-                gram[r, :i, i] = cross
-                gram[r, i, :i] = cross.conj()
+            cross = selected[r, :, :i].conj().T @ atom
+            gram[r, :i, i] = cross
+            gram[r, i, :i] = cross.conj()
             gram[r, i, i] = np.vdot(atom, atom).real
             selected[r, :, i] = atom
             rhs[r, i] = np.vdot(atom, Y[r])
@@ -231,7 +229,5 @@ def detection_probability_bound(k: int, n: int, delta2: float, sigma2: float) ->
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     exponent = k * (1.0 - delta2) ** 2 / (4.0 * sigma2)
-    if exponent == 0.0:
-        return 0.0
     inner = -math.exp(-exponent)
     return 0.0 if inner <= -1.0 else math.exp(n * math.log1p(inner))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_clock import ClockConfig, Modulation, TimeGrid, theta_eval, theta_rate
+from .signal_clock import ClockConfig, Modulation, TimeGrid, theta_eval
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 
@@ -79,20 +79,22 @@ def max_recoverable_sparsity(n: int, k: int, delta_target: float, p_fail: float)
 
     Convex recovery of an s-sparse signal needs the isometry to hold at
     sparsity 2s, so the bound is evaluated there. Returns 0 if even s = 1 fails.
+    The bound grows with s, so s is found by doubling and then bisection.
     """
     if not (0.0 < p_fail < 1.0):
         raise ValueError("p_fail must lie in (0, 1)")
-    best = 0
-    s = 1
-    while True:
-        doubled = 2 * s
-        if (doubled - 1) / (n - 1) >= delta_target:
-            break
-        if strip_failure_probability(n, k, doubled, delta_target) > p_fail:
-            break
-        best = s
-        s += 1
-    return best
+
+    def passes(s: int) -> bool:
+        return ((2 * s - 1) / (n - 1) < delta_target
+                and strip_failure_probability(n, k, 2 * s, delta_target) <= p_fail)
+
+    lo, hi = 0, 1  # lo = 0 or passes(lo); doubling stops at the first hi that fails
+    while passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
 
 
 @functools.lru_cache(maxsize=1)
@@ -148,7 +150,7 @@ def estimate_modulation_constant(
         raise ValueError("modulation constant needs a modulated clock")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    rate = theta_rate(clock.modulation, grid.times()) / (2.0 * math.pi)
+    rate = clock.modulation.rate(grid.times()) / (2.0 * math.pi)
     f_lo, f_hi = float(rate.min()), float(rate.max())
     f_res = grid.f_res
     n = grid.n_points

@@ -109,20 +109,13 @@ class SensingOperator:
         phase = np.outer(self.schedule.indices, bins) % self.n_bins
         return np.exp((2j * math.pi / self.n_bins) * phase) / math.sqrt(self.k_measurements)
 
-    def forward(self, x) -> np.ndarray:
-        """Apply Phi. Accepts a SparseSpectrum or a dense length-N vector."""
-        if isinstance(x, SparseSpectrum):  # to_dense refuses bins beyond N
-            if not np.isfinite(x.coefficients).all():
-                raise ValueError("spectrum coefficients must be finite")
-            x = x.to_dense(self.n_bins)
-        else:
-            x = np.asarray(x)
-            if x.shape != (self.n_bins,):
-                raise ValueError("dense input must have length N")
-            if not np.isfinite(x).all():
-                raise ValueError("dense input must be finite")
-            x = x.astype(complex, copy=False)
-        full = np.fft.ifft(x)
+    def forward(self, x: SparseSpectrum) -> np.ndarray:
+        """Apply Phi to a SparseSpectrum; any other input raises TypeError."""
+        if not isinstance(x, SparseSpectrum):
+            raise TypeError("forward takes a SparseSpectrum")
+        if not np.isfinite(x.coefficients).all():
+            raise ValueError("spectrum coefficients must be finite")
+        full = np.fft.ifft(x.to_dense(self.n_bins))  # to_dense refuses bins beyond N
         return full[self.schedule.indices] * (self.n_bins / math.sqrt(self.k_measurements))
 
     def adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

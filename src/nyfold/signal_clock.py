@@ -154,11 +154,6 @@ def theta_eval(modulation: Modulation, t):
     return np.zeros_like(t, dtype=float) if modulation is None else modulation.phase(t)
 
 
-def theta_rate(modulation: Modulation, t):
-    """Evaluate the analytic derivative theta'(t) in rad/s."""
-    return np.zeros_like(t, dtype=float) if modulation is None else modulation.rate(t)
-
-
 @dataclass(frozen=True)
 class SampleSchedule:
     """Non-uniform sample instants: strictly increasing indices into the atomic
@@ -291,15 +286,12 @@ def add_noise(signal: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 class FoldedTone:
     """Where a tone lands after folding through the sampling clock.
 
-    f_if is the folded (intermediate) frequency in [0, f_s1/2]; k_h the nearest
-    clock harmonic; beta the fold side (+1/-1); m_index = beta * k_h the signed
-    modulation scaling; nyquist_zone the index of the f_s1/2-wide zone holding
-    the original tone.
+    f_if is the folded (intermediate) frequency in [0, f_s1/2]; m_index the
+    signed modulation scaling (see ``fold_tone``); nyquist_zone the index of the
+    f_s1/2-wide zone holding the original tone.
     """
 
     f_if: float
-    k_h: int
-    beta: int
     m_index: int
     nyquist_zone: int
 
@@ -318,6 +310,4 @@ def fold_tone(f_c: float, clock: ClockConfig) -> FoldedTone:
     diff = f_c - k_h * f_s1
     beta = 1 if diff >= 0.0 else -1
     zone = int(math.floor(2.0 * f_c / f_s1))
-    return FoldedTone(
-        f_if=abs(diff), k_h=k_h, beta=beta, m_index=beta * k_h, nyquist_zone=zone
-    )
+    return FoldedTone(f_if=abs(diff), m_index=beta * k_h, nyquist_zone=zone)

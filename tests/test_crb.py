@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erf
 
 from nyfold import crb, omp
@@ -132,45 +132,47 @@ class TestZoneProbability:
 def config():
     grid = TimeGrid(1e-10, 100_000)
     clock = ClockConfig(2e8, LinearChirp(1e7, 1e-5))
-    return grid, clock
+    return grid, clock, compute_sample_schedule(clock, grid)
 
 
 class TestSimulatedZoneTrials:
 
     def test_fractions_are_probabilities(self, config):
-        grid, clock = config
-        fractions = simulate_nz_trials(
-            grid, clock, snr_db=-14.0, n_zones=20, k_values=[200, 800], trials=8, seed=5
+        grid, clock, schedule = config
+        hits = simulate_nz_trials(
+            grid, clock, snr_db=-14.0, n_zones=20, k_values=[200, 800], trials=8, seed=5,
+            schedule=schedule,
         )
-        assert fractions.shape == (2,)
-        assert np.all((0.0 <= fractions) & (fractions <= 1.0))
+        assert hits.shape == (2,) and hits.dtype == np.int64
+        assert np.all((0 <= hits) & (hits <= 8))
 
     def test_reproducible(self, config):
-        grid, clock = config
-        a = simulate_nz_trials(grid, clock, -14.0, 20, [400], 8, seed=5)
-        b = simulate_nz_trials(grid, clock, -14.0, 20, [400], 8, seed=5)
-        assert_allclose(a, b)
+        grid, clock, schedule = config
+        a = simulate_nz_trials(grid, clock, -14.0, 20, [400], 8, 5, schedule)
+        b = simulate_nz_trials(grid, clock, -14.0, 20, [400], 8, 5, schedule)
+        assert_array_equal(a, b)
 
     def test_more_samples_help(self, config):
-        grid, clock = config
-        fractions = simulate_nz_trials(
-            grid, clock, snr_db=-14.0, n_zones=20, k_values=[100, 1500], trials=24, seed=1
+        grid, clock, schedule = config
+        hits = simulate_nz_trials(
+            grid, clock, snr_db=-14.0, n_zones=20, k_values=[100, 1500], trials=24, seed=1,
+            schedule=schedule,
         )
-        assert fractions[1] >= fractions[0] + 0.25
+        assert hits[1] >= hits[0] + 6
 
     def test_clean_high_k_is_reliable(self, config):
-        grid, clock = config
-        fractions = simulate_nz_trials(
-            grid, clock, snr_db=60.0, n_zones=20, k_values=[1500], trials=12, seed=2
+        grid, clock, schedule = config
+        hits = simulate_nz_trials(
+            grid, clock, snr_db=60.0, n_zones=20, k_values=[1500], trials=12, seed=2,
+            schedule=schedule,
         )
-        assert fractions[0] == 1.0
+        assert hits[0] == 12
 
 
-def per_trial_fractions(grid, clock, snr_db, n_zones, k_values, trials, seed):
+def per_trial_hits(grid, clock, snr_db, n_zones, k_values, trials, seed, schedule):
     """Oracle: every trial drawn in the runner's order and pursued on its own."""
-    schedule = compute_sample_schedule(clock, grid)
     band = n_zones * clock.f_s1 / 2.0
-    fractions = []
+    counts = []
     for ki, k in enumerate(k_values):
         op = SensingOperator(grid, schedule.truncated(k))
         times = op.schedule.indices * grid.t_atom
@@ -184,8 +186,8 @@ def per_trial_fractions(grid, clock, snr_db, n_zones, k_values, trials, seed):
             hits += math.floor(2.0 * detected * grid.f_res / clock.f_s1) == math.floor(
                 2.0 * freq / clock.f_s1
             )
-        fractions.append(hits / trials)
-    return np.array(fractions)
+        counts.append(hits)
+    return np.array(counts, dtype=np.int64)
 
 
 class TestBatchedZoneTrials:
@@ -193,7 +195,7 @@ class TestBatchedZoneTrials:
     TRIALS = 24
 
     def test_one_adjoint_per_block_of_trials(self, config, monkeypatch):
-        grid, clock = config
+        grid, clock, schedule = config
         shapes = []
 
         class CountingOp(SensingOperator):
@@ -202,13 +204,13 @@ class TestBatchedZoneTrials:
                 return super().adjoint(y, out=out)
 
         monkeypatch.setattr(crb, "SensingOperator", CountingOp)
-        simulate_nz_trials(grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, seed=5)
+        simulate_nz_trials(grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, 5, schedule)
         block = omp._BATCH_POINTS // grid.n_points  # 10 rows at N = 10^5
         widths = [block, block, self.TRIALS - 2 * block]  # ceil(trials / block) calls
         assert shapes == [(w, k) for k in self.K_VALUES for w in widths]
 
     def test_batch_equals_per_trial_pursuit(self, config):
-        grid, clock = config
-        args = (grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, 3)
+        grid, clock, schedule = config
+        args = (grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, 3, schedule)
         got = simulate_nz_trials(*args)
-        assert got.tobytes() == per_trial_fractions(*args).tobytes()
+        assert got.tobytes() == per_trial_hits(*args).tobytes()

@@ -255,7 +255,8 @@ class TestZoneIdRunner:
         monkeypatch.setattr(crb, "add_noise", recording_add_noise)
         grid = signal_clock.TimeGrid(1e-10, 100_000)
         clock = signal_clock.ClockConfig(2e8, signal_clock.LinearChirp(1e7, 1e-5))
-        crb.simulate_nz_trials(grid, clock, -14.0, 20, [100, 400], trials=2, seed=3)
+        schedule = signal_clock.compute_sample_schedule(clock, grid)
+        crb.simulate_nz_trials(grid, clock, -14.0, 20, [100, 400], 2, 3, schedule)
         assert noised == [(100,), (100,), (400,), (400,)]
 
 
@@ -393,8 +394,12 @@ def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys
         ("deviation-sweep", "sweep", "sparsity", "0:400:200"),
         ("deviation-sweep", "sweep", "sparsity", "200 20000"),  # N = 16384
         ("deviation-sweep", "sweep", "f_dev_hz", "0 nan"),
+        ("deviation-sweep", "sweep", "f_dev_hz", "10000000 10000001"),  # one :g label
+        ("deviation-sweep", "sweep", "f_dev_hz", "0 1e8 1e8"),
         ("mod-constant", "estimate", "k_max", "0"),
         ("mod-constant", "estimate", "sparsity_for_bound", "0"),
+        ("mod-constant", "estimate", "sparsity_for_bound", "1"),  # delta_1 = 0
+        ("mod-constant", "estimate", "sparsity_for_bound", "2"),  # the delta2_bound note
         ("mod-constant", "clock", "f_dev_hz", "nan"),
         ("mod-constant", "clock", "period_s", "nan"),
         ("mod-constant", "clock", "modulation", "none"),
@@ -569,6 +574,17 @@ class TestCli:
         )
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ini_text", ["[DEFAULT]\ntrials = 5\n",
+                                          "[DEFAULT]\nk_measurements = 5\n[strip]\ndelta = 0.25\n"])
+    def test_default_section_exits_2(self, tmp_path, capsys, ini_text):
+        """An INI [DEFAULT] is an unknown section, not defaults for the others."""
+        ini = tmp_path / "default.ini"
+        ini.write_text(ini_text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["strip-table", "--config", str(ini), "--out", str(out)]) == 2
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_ini_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "broken.ini"

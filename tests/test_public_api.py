@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import nyfold
 from nyfold import omp, rip, sensing, signal_clock
+from nyfold.experiments import ResultManifest
 from nyfold.sensing import SensingOperator
 
 REMOVED = {
@@ -16,6 +17,7 @@ REMOVED = {
     "DeviationReport": sensing,
     "DetectionBound": omp,
     "atom": SensingOperator,
+    "theta_rate": signal_clock,
 }
 
 
@@ -33,6 +35,8 @@ REMOVED_PARAMETERS = {
 REMOVED_FIELDS = {
     nyfold.ModulationConstant: {"c_value", "k_range", "band_definition"},
     nyfold.RecoveryResult: {"residual_norm", "iterations"},
+    nyfold.FoldedTone: {"k_h", "beta"},
+    ResultManifest: {"version"},
 }
 
 
@@ -48,3 +52,8 @@ def test_removed_parameters_and_fields_are_gone():
         assert not names & set(inspect.signature(function).parameters)
     for cls, names in REMOVED_FIELDS.items():
         assert not names & {f.name for f in fields(cls)}
+
+
+def test_zone_trials_take_their_schedule():
+    schedule = inspect.signature(nyfold.simulate_nz_trials).parameters["schedule"]
+    assert schedule.default is inspect.Parameter.empty

@@ -84,6 +84,29 @@ class TestMaxRecoverableSparsity:
     def test_headline_row(self):
         assert max_recoverable_sparsity(10**6, 20000, SQRT2_MINUS_1, 0.1) == 84
 
+    def test_matches_upward_scan(self):
+        for n in (4, 5, 10, 101, 10**3, 10**4, 10**5):
+            for k in (1, 3, 100, 10**4):
+                for delta in (0.05, SQRT2_MINUS_1, 0.9):
+                    for p_fail in (1e-6, 0.01, 0.1, 0.5, 0.99):
+                        assert max_recoverable_sparsity(n, k, delta, p_fail) == scan_sparsity(
+                            n, k, delta, p_fail), (n, k, delta, p_fail)
+
+    def test_large_answer_is_the_boundary(self):
+        n = k = 10**12
+        s = max_recoverable_sparsity(n, k, SQRT2_MINUS_1, 0.1)
+        assert s == 2101361112
+        assert strip_failure_probability(n, k, 2 * s, SQRT2_MINUS_1) <= 0.1
+        assert strip_failure_probability(n, k, 2 * (s + 1), SQRT2_MINUS_1) > 0.1
+
+
+def scan_sparsity(n, k, delta, p_fail):
+    """Oracle: try s = 1, 2, ... until the doubled support fails the bound."""
+    s = 1
+    while (2 * s - 1) / (n - 1) < delta and strip_failure_probability(n, k, 2 * s, delta) <= p_fail:
+        s += 1
+    return s - 1
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -209,7 +232,7 @@ class TestModulationConstant:
         grid = TimeGrid(t_atom=1e-10, n_points=100_000)
         clock = ClockConfig(2e8, law)
         theta = _theta_on_grid(clock, grid)
-        rate = rip.theta_rate(law, grid.times()) / (2.0 * math.pi)
+        rate = law.rate(grid.times()) / (2.0 * math.pi)
         expected = []
         for k in range(1, 6):
             g2 = np.abs(np.fft.fft(np.exp(1j * k * theta), norm="ortho")) ** 2
