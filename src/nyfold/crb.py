@@ -4,13 +4,9 @@ A tone folded from zone n carries the clock modulation scaled by a signed
 integer, so under a linear sweep its chirp rate is an integer multiple of the
 sweep slope. Identifying the zone is therefore a chirp-rate classification
 problem, and the Cramer-Rao variance bound on the rate estimate converts into
-a ceiling on the zone-identification probability.
-
-The Monte Carlo trials build each measurement in the sample domain: the tone
-is evaluated only at the K schedule sample times and noised there, never on
-the full N-point grid, so a trial costs O(K) before its one OMP step. All
-trials of one K then take that step as one lockstep batch, so their
-correlations share row-wise adjoint FFTs instead of one FFT per trial.
+a ceiling on the zone-identification probability. The Monte Carlo trials
+take their one OMP step through ``omp.pursue_trials``, which samples and
+noises each tone at the K schedule times only.
 """
 
 from __future__ import annotations
@@ -21,17 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .omp import omp_recover_batch
+from .omp import pursue_trials
 from .sensing import SensingOperator
-from .signal_clock import (
-    ClockConfig,
-    SampleSchedule,
-    TimeGrid,
-    ToneSpec,
-    add_noise,
-    fold_tone,
-    sample_tones,
-)
+from .signal_clock import ClockConfig, SampleSchedule, TimeGrid, ToneSpec, fold_tone
 
 
 @dataclass(frozen=True)
@@ -137,9 +125,9 @@ def simulate_nz_trials(
     Per trial a single tone is drawn uniformly over the first ``n_zones``
     zones, evaluated at the first K sample times of ``schedule`` and noised
     there at ``snr_db`` per sample against the sampled tone's mean power. The
-    trials of one K take one OMP step together, as one ``omp_recover_batch``
-    call. The strongest dictionary bin's frequency and the tone's each fold to
-    a zone (``fold_tone``); the trial is a hit when the two zones agree.
+    trials of one K take one OMP step together, through ``pursue_trials``.
+    The strongest dictionary bin's frequency and the tone's each fold to a
+    zone (``fold_tone``); the trial is a hit when the two zones agree.
 
     Returns the int64 hit count, out of ``trials``, per entry of ``k_values``.
     """
@@ -157,20 +145,15 @@ def simulate_nz_trials(
     hits = np.empty(len(k_values), dtype=np.int64)
     for ki, k in enumerate(k_values):
         op = SensingOperator(grid, schedule.truncated(int(k)))
-        times = op.schedule.indices * grid.t_atom
-        measurements = np.empty((trials, op.k_measurements), dtype=complex)
-        zones_true = []
+        draws = []
         for trial in range(trials):
             rng = np.random.default_rng([seed, ki, trial])
             freq = rng.uniform(0.0, band)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            tone = ToneSpec(frequency=freq, amplitude=1.0, phase=phase)
-            clean = sample_tones([tone], times)
-            measurements[trial] = add_noise(clean, snr_db, seed=int(rng.integers(2**63)))
-            zones_true.append(fold_tone(freq, clock).nyquist_zone)
-        results = omp_recover_batch(op, measurements, max_iters=1)
+            draws.append(([ToneSpec(freq, 1.0, rng.uniform(0.0, 2.0 * math.pi))], rng))
+        results = pursue_trials(op, draws, snr_db, max_iters=1)
         hits[ki] = sum(
-            fold_tone(result.support[0] * grid.f_res, clock).nyquist_zone == zone_true
-            for result, zone_true in zip(results, zones_true)
+            fold_tone(result.support[0] * grid.f_res, clock).nyquist_zone
+            == fold_tone(tones[0].frequency, clock).nyquist_zone
+            for result, (tones, _) in zip(results, draws)
         )
     return hits

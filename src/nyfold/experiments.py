@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .crb import ChirpModel, nz_probability_from_crb, simulate_nz_trials
-from .omp import detection_probability_bound, omp_recover_batch, score_recovery
+from .omp import detection_probability_bound, pursue_trials, score_recovery
 from .rip import (
     SQRT2_MINUS_1,
     estimate_modulation_constant,
@@ -48,7 +48,6 @@ from .signal_clock import (
     Sinusoid,
     TimeGrid,
     ToneSpec,
-    add_noise,
     check_tone_band,
     compute_sample_schedule,
     fold_tone,
@@ -78,11 +77,8 @@ class ResultManifest:
     extra_tables: dict[str, list[list[str]]] = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.fieldnames)
-            for record in self.records:
-                writer.writerow([_cell(record[name]) for name in self.fieldnames])
+        _write_rows(path, [self.fieldnames] + [
+            [_cell(record[name]) for name in self.fieldnames] for record in self.records])
 
     def as_sections(self) -> dict[str, dict[str, str]]:
         sections = {
@@ -113,12 +109,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write_rows(path, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def write_sections(path, sections: dict[str, dict[str, str]]) -> None:
     lines = []
     for name, keys in sections.items():
         lines.append(f"[{name}]")
         for key, value in keys.items():
-            lines.append(f"{key} = {value}")
+            # indented continuation lines read back as the same multi-line value
+            lines.append(f"{key} = {value}".replace("\n", "\n    "))
         lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
@@ -334,12 +336,19 @@ def _build_clock(config, f_dev_override: Optional[float] = None) -> ClockConfig:
         raise ConfigError(f"{key} = {f_dev:g} gives an invalid clock: {exc}") from exc
 
 
-def _modulation_constant(config, section: str, clock: ClockConfig, grid: TimeGrid):
+def _modulation_constant(config, section: str, clock: ClockConfig, grid: TimeGrid, s: int):
+    """The modulation constant C, then the delta_2 and delta_s bounds it gives."""
     k_max = _value(config, section, "k_max")
     try:
-        return estimate_modulation_constant(clock, grid, k_max)
+        constant = estimate_modulation_constant(clock, grid, k_max)
     except ValueError as exc:  # a swept band covers the grid; checked before any spectrum
         raise ConfigError(f"[{section}] k_max = {k_max}: {exc}") from exc
+    try:
+        delta2, delta_s = pairwise_deviation_bound(constant.c_value, grid.f_res, clock.f_dev, s)
+    except ValueError as exc:  # delta_2 = C sqrt(f_res / f_dev) reaches 1/2
+        raise ConfigError(f"[clock] f_dev_hz = {clock.f_dev:g} is too small for "
+                          f"f_res = {grid.f_res:g} Hz: {exc}") from exc
+    return constant, delta2, delta_s
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +379,7 @@ def _mod_constant(config, seed: int):
     if clock.modulation is None:
         raise ConfigError("[clock] modulation is none or f_dev_hz is 0: no modulation to measure")
     s_bound = _value(config, "estimate", "sparsity_for_bound")
-    constant = _modulation_constant(config, "estimate", clock, grid)
-    delta2, delta_s = pairwise_deviation_bound(
-        constant.c_value, grid.f_res, clock.f_dev, s_bound
-    )
+    constant, delta2, delta_s = _modulation_constant(config, "estimate", clock, grid, s_bound)
     records = [
         {"k": i + 1, "c_k": float(c)} for i, c in enumerate(constant.per_k)
     ]
@@ -495,27 +501,20 @@ def _recovery_sweep(config, seed: int):
         raise ConfigError(f"[sweep] sparsity = {max(sparsities)} exceeds the "
                           f"schedule's {schedule.size} samples")
     op = SensingOperator(grid, schedule)
-    sample_times = schedule.indices * grid.t_atom
     band = (2.0 * grid.f_res, grid.f_atomic / 2.0 - 2.0 * grid.f_res)
 
     records = []
     for si, s in enumerate(sparsities):
         for ni, snr_db in enumerate(snrs):
             point = si * len(snrs) + ni
-            truths = []
-            measurements = np.empty((trials, schedule.size), dtype=complex)
+            draws = []
             for trial in range(trials):
-                rng = np.random.default_rng(
-                    fanout_seed(seed, "recovery-sweep", point, trial)
-                )
-                tones = _draw_tones(rng, s, grid.f_res, band, min_sep)
-                clean = sample_tones(tones, sample_times)
-                measurements[trial] = add_noise(clean, snr_db, seed=int(rng.integers(2**63)))
-                truths.append(tones)
-            results = omp_recover_batch(op, measurements, max_iters=s, residual_tol=1e-12)
+                rng = np.random.default_rng(fanout_seed(seed, "recovery-sweep", point, trial))
+                draws.append((_draw_tones(rng, s, grid.f_res, band, min_sep), rng))
+            results = pursue_trials(op, draws, snr_db, max_iters=s)
             failures = sum(
                 not score_recovery(result, tones, grid, tol_bins=tol_bins)[0]
-                for result, tones in zip(results, truths)
+                for result, (tones, _) in zip(results, draws)
             )
             fraction = failures / trials
             records.append(
@@ -551,8 +550,7 @@ def _zone_id(config, seed: int):
     if max(k_values) > schedule.size:
         raise ConfigError(f"[zones] k_values = {max(k_values)} exceeds K = {schedule.size}")
 
-    constant = _modulation_constant(config, "zones", clock, grid)
-    delta2, _ = pairwise_deviation_bound(constant.c_value, grid.f_res, clock.f_dev, 1)
+    constant, delta2, _ = _modulation_constant(config, "zones", clock, grid, 1)
     slope_spacing = clock.f_dev / clock.modulation.period
     step = 1.0 / clock.f_s1
     snr_db = -10.0 * math.log10(sigma2)
@@ -776,19 +774,11 @@ def write_outputs(manifest: ResultManifest, out_dir, plots: bool = False) -> lis
     """Write results.csv, manifest.txt, any extra tables, and optional plots."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    csv_path = out_dir / "results.csv"
-    manifest.write_csv(csv_path)
-    written.append(csv_path)
-    manifest_path = out_dir / "manifest.txt"
-    manifest.write_manifest(manifest_path)
-    written.append(manifest_path)
+    manifest.write_csv(out_dir / "results.csv")
+    manifest.write_manifest(out_dir / "manifest.txt")
     for name, rows in manifest.extra_tables.items():
-        extra_path = out_dir / name
-        with open(extra_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(rows)
-        written.append(extra_path)
+        _write_rows(out_dir / name, rows)
+    written = [out_dir / name for name in ("results.csv", "manifest.txt", *manifest.extra_tables)]
     if plots:
         written.extend(write_plots(manifest, out_dir))
     return written

@@ -18,7 +18,8 @@ block allocates its workspace once: a ``(rows entering, N)`` complex array
 that every iteration's adjoint writes into through ``adjoint(out=...)``, its
 leading rows once some have left, and one length-N magnitude buffer. Each
 result is bitwise equal to pursuing its row alone; ``omp_recover`` is the
-batch-of-1 case.
+batch-of-1 case. ``pursue_trials`` builds a Monte Carlo batch in the sample
+domain and pursues it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .sensing import SensingOperator
-from .signal_clock import TimeGrid, ToneSpec
+from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 
 # cap on N * rows per lockstep block: 4 rows at N = 2^18, 1 at N = 10^6. The
 # FFT time per row is flat from 2 to 16 rows at N = 2^18, and 2-4 rows at
@@ -127,6 +128,26 @@ def omp_recover_batch(
     for start in range(0, len(Y), block):
         results.extend(_omp_block(op, Y[start : start + block], max_iters, residual_tol))
     return results
+
+
+def pursue_trials(
+    op: SensingOperator,
+    draws: Sequence[tuple[Sequence[ToneSpec], np.random.Generator]],
+    snr_db: float,
+    max_iters: int,
+) -> list[RecoveryResult]:
+    """Sample, noise and pursue one Monte Carlo trial per ``(tones, rng)`` draw.
+
+    A trial's tones are evaluated only at the K schedule times ``indices *
+    t_atom``, never on the N-point grid, and noised there at ``snr_db`` with
+    the draw's next ``rng.integers(2**63)`` as seed. All trials then take one
+    lockstep ``omp_recover_batch`` call with residual tolerance 1e-12.
+    """
+    times = op.schedule.indices * op.grid.t_atom
+    measurements = np.empty((len(draws), op.k_measurements), dtype=complex)
+    for row, (tones, rng) in zip(measurements, draws):
+        row[:] = add_noise(sample_tones(tones, times), snr_db, seed=int(rng.integers(2**63)))
+    return omp_recover_batch(op, measurements, max_iters, residual_tol=1e-12)
 
 
 def _omp_block(

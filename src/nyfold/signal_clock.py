@@ -204,7 +204,8 @@ def compute_sample_schedule(clock: ClockConfig, grid: TimeGrid) -> SampleSchedul
     if grid.duration < 1.0 / f_s1:
         raise ScheduleError("grid shorter than one clock cycle", grid_field="n_points")
     omega, mod = TWO_PI * f_s1, clock.modulation
-    levels = TWO_PI * np.arange(_robust_cycle_count(f_s1, grid.duration))
+    # N grid points hold at most N crossings, so the first N + 1 show any collision
+    levels = TWO_PI * np.arange(min(_robust_cycle_count(f_s1, grid.duration), grid.n_points + 1))
     # Crossing k snaps to index j when it lies in ((j - 1/2) t_atom, (j + 1/2) t_atom]:
     # j is the first atom midpoint where the phase's running maximum reaches 2 pi k,
     # which after a sawtooth resweep waits for the phase to pass its earlier peak.
@@ -262,24 +263,23 @@ def synthesize_signal(tones: Sequence[ToneSpec], grid: TimeGrid) -> np.ndarray:
 
 
 def add_noise(signal: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
-    """Add white Gaussian noise at a target SNR relative to the signal's mean power.
+    """Add circular complex white Gaussian noise at a target SNR relative to the
+    signal's mean power, its variance split evenly between the quadratures.
 
-    Complex input gets circular complex noise (variance split evenly between
-    quadratures); real input gets real noise. ``snr_db = inf`` returns a copy.
+    The signal must be complex, as ``sample_tones`` returns it; real input
+    raises ``TypeError``. ``snr_db = inf`` returns a copy.
     """
+    if not np.iscomplexobj(signal):
+        raise TypeError("add_noise takes a complex signal")
     if math.isinf(snr_db) and snr_db > 0:
         return signal.copy()
     power = float(np.mean(np.abs(signal) ** 2))
     if power <= 0.0:
         raise ValueError("cannot set an SNR against an all-zero signal")
-    sigma2 = power / (10.0 ** (snr_db / 10.0))
+    scale = math.sqrt(power / (10.0 ** (snr_db / 10.0)) / 2.0)
     rng = np.random.default_rng(seed)
-    if np.iscomplexobj(signal):
-        scale = math.sqrt(sigma2 / 2.0)
-        noise = scale * (rng.standard_normal(len(signal)) + 1j * rng.standard_normal(len(signal)))
-    else:
-        noise = math.sqrt(sigma2) * rng.standard_normal(len(signal))
-    return signal + noise
+    n = len(signal)
+    return signal + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 @dataclass(frozen=True)

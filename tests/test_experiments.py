@@ -252,7 +252,7 @@ class TestZoneIdRunner:
 
         monkeypatch.setattr(signal_clock, "synthesize_signal", no_grid_synthesis)
         monkeypatch.setattr(crb, "synthesize_signal", no_grid_synthesis, raising=False)
-        monkeypatch.setattr(crb, "add_noise", recording_add_noise)
+        monkeypatch.setattr(omp, "add_noise", recording_add_noise)  # pursue_trials noises
         grid = signal_clock.TimeGrid(1e-10, 100_000)
         clock = signal_clock.ClockConfig(2e8, signal_clock.LinearChirp(1e7, 1e-5))
         schedule = signal_clock.compute_sample_schedule(clock, grid)
@@ -403,6 +403,8 @@ def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys
         ("mod-constant", "clock", "f_dev_hz", "nan"),
         ("mod-constant", "clock", "period_s", "nan"),
         ("mod-constant", "clock", "modulation", "none"),
+        ("mod-constant", "clock", "f_dev_hz", "1e4"),  # delta_2 <= C sqrt(f_res / f_dev) = 4.0
+        ("zone-id", "clock", "f_dev_hz", "1e4"),
         ("strip-table", "strip", "k_measurements", "0"),
         ("strip-table", "strip", "n_bins", "3"),
         ("strip-table", "strip", "tolerances", "0 0.1"),
@@ -410,6 +412,7 @@ def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys
         ("spectrum", "spectrum", "stft_window", "40000"),
         ("spectrum", "tones", "amplitudes", "nan 1 1 1"),
         ("recovery-sweep", "grid", "t_atom_s", "1e-8"),  # two crossings per atom
+        ("recovery-sweep", "grid", "t_atom_s", "1e-2"),  # 3.3e10 crossings on 16384 points
         ("spectrum", "grid", "n_points", "2"),  # shorter than one clock cycle
         ("mod-constant", "estimate", "k_max", "2000"),  # band at k = 1000 covers the grid
         ("zone-id", "zones", "k_max", "2000"),
@@ -593,6 +596,18 @@ class TestCli:
             ["strip-table", "--config", str(ini), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_multi_line_value_reads_back_from_manifest(self, tmp_path):
+        """configparser joins an indented continuation line into the value;
+        the manifest echoes it so that it reads back as the same value."""
+        ini = tmp_path / "lines.ini"
+        ini.write_text("[zones]\ntrials = 2\nk_values = 100\n    200\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["zone-id", "--config", str(ini), "--out", str(out)]) == 0
+        sections = read_sections(out / "manifest.txt")
+        assert sections["config:zones"]["k_values"] == "100\n200"
+        rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["100", "200"]  # k_samples
 
     def test_runner_config_error_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "sigma.ini"

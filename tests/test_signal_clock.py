@@ -1,6 +1,7 @@
 """Tests for the signal/clock model and the zero-crossing sample schedule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,22 @@ class TestSampleSchedule:
             compute_sample_schedule(clock, grid)
         assert info.value.grid_field == "t_atom"
 
+    def test_coarse_grid_fails_before_building_every_level(self):
+        """f_s1 * duration crossings would be 3.8 TiB of levels at t_atom = 1e-2;
+        N grid points hold at most N of them, so N + 1 levels find the collision."""
+        clock = ClockConfig(2e8, LinearChirp(1e7, 2.62144e-5))  # desk recovery-sweep
+        with pytest.raises(ScheduleError, match="both quantize") as info:
+            compute_sample_schedule(clock, TimeGrid(1e-2, 2**18))
+        assert info.value.grid_field == "t_atom"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScheduleError):
+                compute_sample_schedule(clock, TimeGrid(1e-7, 2**18))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6  # 15 MB; 139 MB when all 5.2e6 levels were built
+
     @pytest.mark.parametrize("clock,grid", preset_schedules())
     def test_matches_per_crossing_reference(self, clock, grid):
         """The array solve gives the reference solver's indices bitwise."""
@@ -448,10 +465,11 @@ class TestSynthesisAndNoise:
         assert_allclose(add_noise(x, 5.0, seed=7), add_noise(x, 5.0, seed=7))
         assert not np.allclose(add_noise(x, 5.0, seed=7), add_noise(x, 5.0, seed=8))
 
-    def test_real_signal_gets_real_noise(self):
-        x = np.cos(np.linspace(0, 20, 1000))
-        noisy = add_noise(x, 0.0, seed=1)
-        assert noisy.dtype == np.float64
+    def test_real_signal_rejected(self):
+        with pytest.raises(TypeError, match="complex"):
+            add_noise(np.ones(4), 10.0, seed=0)
+        with pytest.raises(TypeError, match="complex"):
+            add_noise(np.cos(np.linspace(0, 20, 1000)), math.inf, seed=1)
 
     def test_infinite_snr_is_identity(self):
         x = np.ones(16, dtype=complex)
@@ -459,7 +477,7 @@ class TestSynthesisAndNoise:
 
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError):
-            add_noise(np.zeros(8), 10.0, seed=0)
+            add_noise(np.zeros(8, dtype=complex), 10.0, seed=0)
 
 
 class TestFolding:
@@ -544,3 +562,23 @@ class TestFoldedSpectrum:
         narrow = peak_width(0.4e9)  # zone 0, unspread
         wide = peak_width(4.5e9)  # m_index 2, spread over 2*f_dev
         assert wide > 10 * narrow
+
+    @pytest.mark.parametrize("f_c", [0.5e9, 2.5e9, 4.5e9, 6.5e9, 8.5e9])
+    def test_zone_signature_is_a_downchirp_of_width_m_f_dev(self, f_c):
+        """``fold_tone``'s claim against the simulated spectrum: a tone from zone
+        m folds to f_if as a chirp sweeping |m| f_dev down from it."""
+        config = resolve_config("spectrum", "desk")
+        grid, clock = _build_grid(config), _build_clock(config)
+        fold = fold_tone(f_c, clock)
+        width = abs(fold.m_index) * clock.f_dev
+        freqs, mags = spectrum_magnitudes(f_c)
+        energy = mags**2 / np.sum(mags**2)  # over the first zone, [0, f_s1 / 2]
+        band = (freqs >= fold.f_if - width - 2 * grid.f_res) & (freqs <= fold.f_if + 2 * grid.f_res)
+        # the narrowest bin set holding 90% of the energy
+        narrowest = (np.searchsorted(np.cumsum(np.sort(energy)[::-1]), 0.9) + 1) * grid.f_res
+        if fold.m_index == 0:  # 94.5% within 2 bins of f_if, 90% in 3 bins
+            assert energy[band].sum() >= 0.9
+            assert narrowest <= 4 * grid.f_res
+        else:  # 99.0-99.2% in band, and 90% in 0.854-0.861 |m| f_dev, for m = 1..4
+            assert energy[band].sum() >= 0.98
+            assert 0.8 <= narrowest / width <= 0.9
