@@ -3,8 +3,8 @@
 ``nyfold EXPERIMENT`` resolves the preset configuration for the chosen scale,
 overlays an optional INI file, runs the experiment, and writes ``results.csv``
 plus ``manifest.txt`` (and SVG plots with ``--plots``) into the output
-directory. Exit codes: 0 success, 2 configuration error or an output directory
-that cannot be written, 3 numerical failure.
+directory. Exit codes: 0 success, 2 configuration error, a run that runs out
+of memory or an output directory that cannot be written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         manifest = runner(config, args.seed, args.scale)
     except ConfigError as exc:
         print(f"nyfold: config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes such as [grid] n_points set every array's size
+        print(f"nyfold: config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         print(f"nyfold: numerical failure: {exc}", file=sys.stderr)

@@ -27,20 +27,16 @@ class ChirpModel:
     """Complex chirp observed at K uniform steps in white noise.
 
     Sample i (i = 1..count) is
-    ``amplitude * exp(j (2 pi (chirp_rate/2 (step i)^2 + start_frequency step i) + phase))``
-    plus circular complex noise of variance noise_variance.
+    ``amplitude * exp(j (2 pi (alpha/2 (step i)^2 + f0 step i) + phi))``
+    plus circular complex noise of variance noise_variance. The Fisher
+    information on the rate alpha depends on neither alpha, the start
+    frequency f0 nor the phase phi, so the model holds only A, Delta, K and
+    sigma^2.
 
     Parameters
     ----------
     amplitude : float
         Tone amplitude A > 0.
-    chirp_rate : float
-        Sweep rate alpha in Hz/s, the parameter under estimation.
-    start_frequency : float
-        Initial frequency in Hz (a nuisance parameter; the rate bound does not
-        depend on it).
-    phase : float
-        Initial phase in radians.
     step : float
         Sample spacing Delta in seconds.
     count : int
@@ -50,9 +46,6 @@ class ChirpModel:
     """
 
     amplitude: float
-    chirp_rate: float
-    start_frequency: float
-    phase: float
     step: float
     count: int
     noise_variance: float

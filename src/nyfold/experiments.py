@@ -70,15 +70,20 @@ class ResultManifest:
     scale: str
     seed: int
     config: dict[str, dict[str, str]]
-    fieldnames: list[str]
     records: list[dict]
     notes: dict[str, str] = field(default_factory=dict)
     wall_clock_s: float = 0.0
     extra_tables: dict[str, list[list[str]]] = field(default_factory=dict)
 
+    @property
+    def fieldnames(self) -> list[str]:
+        """The CSV columns: the first record's keys, in order."""
+        return list(self.records[0])
+
     def write_csv(self, path) -> None:
-        _write_rows(path, [self.fieldnames] + [
-            [_cell(record[name]) for name in self.fieldnames] for record in self.records])
+        fieldnames = self.fieldnames
+        _write_rows(path, [fieldnames] + [
+            [_cell(record[name]) for name in fieldnames] for record in self.records])
 
     def as_sections(self) -> dict[str, dict[str, str]]:
         sections = {
@@ -325,6 +330,8 @@ def _build_clock(config, f_dev_override: Optional[float] = None) -> ClockConfig:
     f_dev = f_dev_override
     if f_dev is None and kind != "none":
         f_dev = _value(config, "clock", "f_dev_hz")
+    elif kind == "none" and f_dev:
+        raise ConfigError(f"[clock] modulation = none cannot sweep [sweep] f_dev_hz = {f_dev:g}")
     modulation = None
     try:
         if kind != "none" and f_dev != 0.0:
@@ -336,19 +343,19 @@ def _build_clock(config, f_dev_override: Optional[float] = None) -> ClockConfig:
         raise ConfigError(f"{key} = {f_dev:g} gives an invalid clock: {exc}") from exc
 
 
-def _modulation_constant(config, section: str, clock: ClockConfig, grid: TimeGrid, s: int):
-    """The modulation constant C, then the delta_2 and delta_s bounds it gives."""
+def _modulation_constant(config, section: str, clock: ClockConfig, grid: TimeGrid):
+    """The modulation constant C, then the delta_2 bound it gives."""
     k_max = _value(config, section, "k_max")
     try:
         constant = estimate_modulation_constant(clock, grid, k_max)
     except ValueError as exc:  # a swept band covers the grid; checked before any spectrum
         raise ConfigError(f"[{section}] k_max = {k_max}: {exc}") from exc
     try:
-        delta2, delta_s = pairwise_deviation_bound(constant.c_value, grid.f_res, clock.f_dev, s)
+        delta2 = pairwise_deviation_bound(constant.c_value, grid.f_res, clock.f_dev)
     except ValueError as exc:  # delta_2 = C sqrt(f_res / f_dev) reaches 1/2
         raise ConfigError(f"[clock] f_dev_hz = {clock.f_dev:g} is too small for "
                           f"f_res = {grid.f_res:g} Hz: {exc}") from exc
-    return constant, delta2, delta_s
+    return constant, delta2
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +386,7 @@ def _mod_constant(config, seed: int):
     if clock.modulation is None:
         raise ConfigError("[clock] modulation is none or f_dev_hz is 0: no modulation to measure")
     s_bound = _value(config, "estimate", "sparsity_for_bound")
-    constant, delta2, delta_s = _modulation_constant(config, "estimate", clock, grid, s_bound)
+    constant, delta2 = _modulation_constant(config, "estimate", clock, grid)
     records = [
         {"k": i + 1, "c_k": float(c)} for i, c in enumerate(constant.per_k)
     ]
@@ -388,7 +395,7 @@ def _mod_constant(config, seed: int):
         "f_res_hz": repr(grid.f_res),
         "f_dev_hz": repr(clock.f_dev),
         "delta2_bound": repr(delta2),
-        f"delta{s_bound}_bound": repr(delta_s),
+        f"delta{s_bound}_bound": repr(s_bound * delta2),  # delta_s <= s delta_2
         "guaranteed_sparsity_convex": str(guaranteed_sparsity_convex(delta2)),
         "band_definition": "contiguous bins swept by the instantaneous frequency "
                            "k*theta'/(2*pi), width k*f_dev",
@@ -550,7 +557,7 @@ def _zone_id(config, seed: int):
     if max(k_values) > schedule.size:
         raise ConfigError(f"[zones] k_values = {max(k_values)} exceeds K = {schedule.size}")
 
-    constant, delta2, _ = _modulation_constant(config, "zones", clock, grid, 1)
+    constant, delta2 = _modulation_constant(config, "zones", clock, grid)
     slope_spacing = clock.f_dev / clock.modulation.period
     step = 1.0 / clock.f_s1
     snr_db = -10.0 * math.log10(sigma2)
@@ -559,15 +566,7 @@ def _zone_id(config, seed: int):
                               seed=fanout_seed(seed, "zone-id", 0, 0), schedule=schedule)
     records = []
     for k, successes in zip(k_values, hits.tolist()):
-        model = ChirpModel(
-            amplitude=1.0,
-            chirp_rate=slope_spacing,
-            start_frequency=0.0,
-            phase=0.0,
-            step=step,
-            count=int(k),
-            noise_variance=sigma2,
-        )
+        model = ChirpModel(amplitude=1.0, step=step, count=int(k), noise_variance=sigma2)
         crb_p = nz_probability_from_crb(model, slope_spacing)
         bound = detection_probability_bound(int(k), grid.n_points, delta2, sigma2)
         fraction = successes / trials
@@ -734,7 +733,6 @@ def _run(experiment: str, config, seed: int, scale: str) -> ResultManifest:
         scale=scale,
         seed=seed,
         config=config,
-        fieldnames=list(records[0]),
         records=records,
         notes=notes,
         extra_tables=extra[0] if extra else {},
@@ -743,12 +741,6 @@ def _run(experiment: str, config, seed: int, scale: str) -> ResultManifest:
 
 
 RUNNERS: dict[str, Callable] = {name: functools.partial(_run, name) for name in SPECS}
-run_strip_table = RUNNERS["strip-table"]
-run_mod_constant = RUNNERS["mod-constant"]
-run_spectrum = RUNNERS["spectrum"]
-run_recovery_sweep = RUNNERS["recovery-sweep"]
-run_zone_id = RUNNERS["zone-id"]
-run_deviation_sweep = RUNNERS["deviation-sweep"]
 
 
 def write_plots(manifest: ResultManifest, out_dir: Path) -> list[Path]:

@@ -11,15 +11,16 @@ raises rather than being silently regularized.
 Pursuit runs in lockstep over a batch of measurement rows: each iteration
 hands the ``(B, K)`` residuals of all still-active rows to one adjoint, so B
 correlations cost one row-wise FFT call. Every row keeps its own support,
-Gram, Cholesky factor and log, and leaves the active set once its residual
-meets the tolerance (all-zero rows never enter it). Rows are processed in
-blocks of at most ``_BATCH_POINTS / N`` rows to bound the FFT buffer. Each
-block allocates its workspace once: a ``(rows entering, N)`` complex array
-that every iteration's adjoint writes into through ``adjoint(out=...)``, its
-leading rows once some have left, and one length-N magnitude buffer. Each
-result is bitwise equal to pursuing its row alone; ``omp_recover`` is the
-batch-of-1 case. ``pursue_trials`` builds a Monte Carlo batch in the sample
-domain and pursues it.
+Gram, Cholesky factor and residual log, and leaves the active set once its
+residual norm drops to ``_RESIDUAL_TOL`` times its measurement norm (all-zero
+rows never enter it). Rows are processed in blocks of at most
+``_BATCH_POINTS / N`` rows to bound the FFT buffer. Each block allocates its
+workspace once: a ``(rows entering, N)`` complex array that every
+iteration's adjoint writes into through ``adjoint(out=...)``, its leading
+rows once some have left, and one length-N magnitude buffer. Each result is
+bitwise equal to pursuing its row alone; ``omp_recover`` is the batch-of-1
+case. ``pursue_trials`` builds a Monte Carlo batch in the sample domain and
+pursues it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 # FFT time per row is flat from 2 to 16 rows at N = 2^18, and 2-4 rows at
 # N = 10^6 ran slower per row than one, so larger blocks would only add memory.
 _BATCH_POINTS = 2**20
+# a row stops once its residual norm drops to this fraction of its measurement norm
+_RESIDUAL_TOL = 1e-12
 
 
 class GramSingularError(RuntimeError):
@@ -52,17 +55,17 @@ class GramSingularError(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """OMP output: support bins, LS coefficients, and the per-iteration log.
+    """OMP output: support bins in selection order, LS coefficients, and the
+    residual norm after each iteration.
 
-    selection_log holds one (bin, correlation magnitude, residual norm) triple
-    per iteration, in selection order. Each iteration adds one support bin;
-    residual_norm is the last logged one, and 0 for an all-zero row, the only
-    row that takes no iteration.
+    Each iteration adds one support bin and one residual norm; residual_norm is
+    the last one, and 0 for an all-zero row, the only row that takes no
+    iteration.
     """
 
     support: list[int]
     coefficients: np.ndarray
-    selection_log: list[tuple[int, float, float]]
+    residual_norms: list[float]
 
     @property
     def iterations(self) -> int:
@@ -70,36 +73,23 @@ class RecoveryResult:
 
     @property
     def residual_norm(self) -> float:
-        return self.selection_log[-1][2] if self.selection_log else 0.0
+        return self.residual_norms[-1] if self.residual_norms else 0.0
 
 
-def omp_recover(
-    op: SensingOperator,
-    y: np.ndarray,
-    max_iters: int,
-    residual_tol: float = 0.0,
-) -> RecoveryResult:
+def omp_recover(op: SensingOperator, y: np.ndarray, max_iters: int) -> RecoveryResult:
     """Recover a sparse spectrum from one measurement vector y (length K).
 
     The batch-of-1 case of omp_recover_batch; see there for the stopping
     rule, tie-breaking and errors.
     """
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (op.k_measurements,):
-        raise ValueError("measurement vector must have length K")
-    return omp_recover_batch(op, y[np.newaxis], max_iters, residual_tol)[0]
+    return omp_recover_batch(op, np.asarray(y)[np.newaxis], max_iters)[0]
 
 
-def omp_recover_batch(
-    op: SensingOperator,
-    Y: np.ndarray,
-    max_iters: int,
-    residual_tol: float = 0.0,
-) -> list[RecoveryResult]:
+def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[RecoveryResult]:
     """Recover one sparse spectrum per row of Y (shape B x K), in lockstep.
 
     Each row stops after ``max_iters`` selections or once its residual norm
-    drops to ``residual_tol * ||y||``; an all-zero row returns an empty result.
+    drops to ``_RESIDUAL_TOL * ||y||``; an all-zero row returns an empty result.
     Ties in the correlation magnitude resolve to the lowest bin, which makes
     the selection order deterministic. Rows run in blocks of at most
     ``_BATCH_POINTS / N`` rows, and every result is bitwise equal to running
@@ -117,8 +107,6 @@ def omp_recover_batch(
         raise ValueError("measurements must have shape (B, K)")
     if not (1 <= max_iters <= op.k_measurements):
         raise ValueError("max_iters must lie in [1, K]")
-    if residual_tol < 0.0:
-        raise ValueError("residual_tol must be non-negative")
     finite = np.isfinite(Y).all(axis=1)
     if not finite.all():
         raise ValueError(f"measurement row {int(np.argmin(finite))} is not finite")
@@ -126,7 +114,7 @@ def omp_recover_batch(
     block = max(1, _BATCH_POINTS // op.n_bins)
     results: list[RecoveryResult] = []
     for start in range(0, len(Y), block):
-        results.extend(_omp_block(op, Y[start : start + block], max_iters, residual_tol))
+        results.extend(_omp_block(op, Y[start : start + block], max_iters))
     return results
 
 
@@ -141,18 +129,16 @@ def pursue_trials(
     A trial's tones are evaluated only at the K schedule times ``indices *
     t_atom``, never on the N-point grid, and noised there at ``snr_db`` with
     the draw's next ``rng.integers(2**63)`` as seed. All trials then take one
-    lockstep ``omp_recover_batch`` call with residual tolerance 1e-12.
+    lockstep ``omp_recover_batch`` call.
     """
     times = op.schedule.indices * op.grid.t_atom
     measurements = np.empty((len(draws), op.k_measurements), dtype=complex)
     for row, (tones, rng) in zip(measurements, draws):
         row[:] = add_noise(sample_tones(tones, times), snr_db, seed=int(rng.integers(2**63)))
-    return omp_recover_batch(op, measurements, max_iters, residual_tol=1e-12)
+    return omp_recover_batch(op, measurements, max_iters)
 
 
-def _omp_block(
-    op: SensingOperator, Y: np.ndarray, max_iters: int, residual_tol: float
-) -> list[RecoveryResult]:
+def _omp_block(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[RecoveryResult]:
     """The OMP iteration for one block of rows; one adjoint per iteration."""
     b, k = Y.shape
     y_norms = [float(np.linalg.norm(y)) for y in Y]
@@ -160,7 +146,7 @@ def _omp_block(
     gram = np.zeros((b, max_iters, max_iters), dtype=complex)
     rhs = np.empty((b, max_iters), dtype=complex)
     supports: list[list[int]] = [[] for _ in range(b)]
-    logs: list[list[tuple[int, float, float]]] = [[] for _ in range(b)]
+    residual_norms: list[list[float]] = [[] for _ in range(b)]
     coefficients = [np.zeros(0, dtype=complex) for _ in range(b)]
     residuals = Y.copy()
     active = [r for r in range(b) if y_norms[r] != 0.0]
@@ -178,7 +164,6 @@ def _omp_block(
             np.abs(correlation, out=magnitude)
             magnitude[support] = -1.0
             bin_j = int(np.argmax(magnitude))  # argmax takes the lowest bin on ties
-            corr_mag = float(magnitude[bin_j])
 
             atom = op.atoms([bin_j])[:, 0]
             i = len(support)
@@ -199,12 +184,12 @@ def _omp_block(
 
             residuals[r] = Y[r] - selected[r, :, : i + 1] @ coefficients[r]
             residual_norm = float(np.linalg.norm(residuals[r]))
-            logs[r].append((bin_j, corr_mag, residual_norm))
-            if residual_norm > residual_tol * y_norms[r]:
+            residual_norms[r].append(residual_norm)
+            if residual_norm > _RESIDUAL_TOL * y_norms[r]:
                 still_active.append(r)
         active = still_active
 
-    return [RecoveryResult(supports[r], coefficients[r], logs[r]) for r in range(b)]
+    return [RecoveryResult(supports[r], coefficients[r], residual_norms[r]) for r in range(b)]
 
 
 def score_recovery(

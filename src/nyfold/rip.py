@@ -168,25 +168,21 @@ def estimate_modulation_constant(
     return ModulationConstant(per_k)
 
 
-def pairwise_deviation_bound(
-    c_value: float, f_res: float, f_dev: float, s: int
-) -> tuple[float, float]:
-    """(delta_2 bound, delta_s bound) from the modulation constant.
+def pairwise_deviation_bound(c_value: float, f_res: float, f_dev: float) -> float:
+    """The delta_2 bound C sqrt(f_res / f_dev) from the modulation constant.
 
-    delta_2 <= C sqrt(f_res / f_dev) and delta_s <= s * delta_2. The result is
-    only meaningful when the pairwise bound stays below 1/2; larger values
-    raise, since the underlying concentration hypothesis is violated.
+    delta_s <= s * delta_2 follows for any sparsity s. The bound is only
+    meaningful while it stays below 1/2; larger values raise, since the
+    underlying concentration hypothesis is violated.
     """
     if c_value <= 0.0 or f_res <= 0.0 or f_dev <= 0.0:
         raise ValueError("c_value, f_res and f_dev must be positive")
-    if s < 1:
-        raise ValueError("sparsity must be positive")
     delta2 = c_value * math.sqrt(f_res / f_dev)
     if delta2 >= 0.5:
         raise ValueError(
             f"pairwise bound {delta2:.3f} >= 0.5: concentration hypothesis violated"
         )
-    return delta2, s * delta2
+    return delta2
 
 
 def guaranteed_sparsity_convex(delta2_bound: float) -> int:

@@ -26,6 +26,7 @@ from nyfold.experiments import (
     PRESETS,
     SCALES,
     ConfigError,
+    RUNNERS,
     ResultManifest,
     _build_clock,
     _build_grid,
@@ -36,10 +37,6 @@ from nyfold.experiments import (
     load_config_file,
     read_sections,
     resolve_config,
-    run_recovery_sweep,
-    run_spectrum,
-    run_strip_table,
-    run_zone_id,
     write_sections,
 )
 from nyfold.rip import max_recoverable_sparsity, strip_failure_probability
@@ -125,7 +122,6 @@ def small_manifest():
         scale="desk",
         seed=42,
         config={"strip": {"n_bins": "100"}},
-        fieldnames=["tolerance", "max_sparsity", "passed"],
         records=[
             {"tolerance": 0.1, "max_sparsity": 84, "passed": True},
             {"tolerance": 0.005, "max_sparsity": 4, "passed": False},
@@ -180,7 +176,7 @@ class TestManifestIO:
 @pytest.fixture(scope="module")
 def manifest():
     config = resolve_config("strip-table", "desk")
-    return run_strip_table(config, seed=1, scale="desk")
+    return RUNNERS["strip-table"](config, seed=1, scale="desk")
 
 
 class TestStripTableRunner:
@@ -199,7 +195,7 @@ class TestStripTableRunner:
 
     def test_csv_bytes_deterministic(self, manifest, tmp_path):
         config = resolve_config("strip-table", "desk")
-        again = run_strip_table(config, seed=1, scale="desk")
+        again = RUNNERS["strip-table"](config, seed=1, scale="desk")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         manifest.write_csv(a)
         again.write_csv(b)
@@ -223,7 +219,7 @@ class TestRecoverySweepRunner:
         if rows_per_block is not None:
             monkeypatch.setattr(omp, "_BATCH_POINTS", rows_per_block * 16384)
         config = resolve_config("recovery-sweep", "desk", self.OVERRIDES)
-        manifest = run_recovery_sweep(config, seed=11, scale="desk")
+        manifest = RUNNERS["recovery-sweep"](config, seed=11, scale="desk")
         path = tmp_path / "results.csv"
         manifest.write_csv(path)
         assert path.read_bytes() == (GOLDEN / "recovery_sweep_small.csv").read_bytes()
@@ -235,7 +231,7 @@ class TestZoneIdRunner:
     def test_csv_matches_golden(self, tmp_path):
         """results.csv is pinned byte for byte on the sample-domain noise stream."""
         config = resolve_config("zone-id", "desk", self.OVERRIDES)
-        manifest = run_zone_id(config, seed=11, scale="desk")
+        manifest = RUNNERS["zone-id"](config, seed=11, scale="desk")
         path = tmp_path / "results.csv"
         manifest.write_csv(path)
         assert path.read_bytes() == (GOLDEN / "zone_id_small.csv").read_bytes()
@@ -310,7 +306,7 @@ class TestSpectrumRunner:
         """The adjoint route equals the unitary N-point DFT of the zero-filled
         grid signal, cut to the first Nyquist zone."""
         config = self.config(mode)
-        records = run_spectrum(config, seed=11, scale="desk").records
+        records = RUNNERS["spectrum"](config, seed=11, scale="desk").records
         grid, clock = _build_grid(config), _build_clock(config)
         tones = [signal_clock.ToneSpec(f) for f in (5e8, 2.5e9, 4.5e9, 6.5e9)]  # the preset's
         indices = signal_clock.compute_sample_schedule(clock, grid).indices
@@ -333,7 +329,7 @@ class TestSpectrumRunner:
             raise AssertionError("spectrum must not synthesize the full grid")
 
         monkeypatch.setattr(signal_clock, "synthesize_signal", no_grid_synthesis)
-        manifest = run_spectrum(self.config("real"), seed=11, scale="desk")
+        manifest = RUNNERS["spectrum"](self.config("real"), seed=11, scale="desk")
         assert len(manifest.records) == 164
 
 
@@ -417,6 +413,7 @@ def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys
         ("mod-constant", "estimate", "k_max", "2000"),  # band at k = 1000 covers the grid
         ("zone-id", "zones", "k_max", "2000"),
         ("deviation-sweep", "sweep", "f_dev_hz", "0 3e9"),  # at or above f_s1 = 2e9
+        ("deviation-sweep", "clock", "modulation", "none"),  # cannot sweep f_dev = 1e7
     ],
 )
 def test_out_of_range_config_value_exits_2(experiment, section, key, value, tmp_path, capsys):
@@ -632,7 +629,8 @@ class TestCli:
         ini = tmp_path / "nan.ini"
         ini.write_text("[tones]\namplitudes = 1e308 1e308 1e308 1e308\n", encoding="utf-8")
         out = tmp_path / "o"
-        assert cli.main(["spectrum", "--config", str(ini), "--out", str(out)]) == 3
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert cli.main(["spectrum", "--config", str(ini), "--out", str(out)]) == 3
         assert "signal must be finite" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
@@ -673,6 +671,19 @@ class TestCli:
         )
         assert code == 2
         assert "unknown key 'f_dev_hz'" in capsys.readouterr().err
+
+    def test_deviation_sweep_unmodulated_clock_sweeps_only_zero(self, tmp_path):
+        """An unmodulated clock runs a sweep of f_dev = 0 alone; any other value
+        exits 2 (test_out_of_range_config_value_exits_2)."""
+        sections = {name: dict(keys) for name, keys in TINY_OVERRIDES["deviation-sweep"].items()}
+        sections["clock"] = {"modulation": "none"}
+        sections["sweep"]["f_dev_hz"] = "0"
+        ini = tmp_path / "none.ini"
+        write_sections(ini, sections)
+        out = tmp_path / "o"
+        assert cli.main(["deviation-sweep", "--config", str(ini), "--out", str(out)]) == 0
+        rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.0"] * 3  # f_dev_hz
 
     @pytest.mark.parametrize("sparsity", ["200", "200 200"])
     def test_deviation_sweep_needs_two_sparsities(self, tmp_path, capsys, sparsity):
@@ -719,6 +730,31 @@ class TestCli:
         proc, _ = run("[clock]\nmodulation = sine\n[zones]\ntrials = 2\n", "sine")
         assert proc.returncode == 2
         assert "chirp-modulated clock" in proc.stderr
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        """A grid too large for memory is a config error, not a traceback. The
+        address-space limit is set on the child process only."""
+        resource = pytest.importorskip("resource")
+        src = str(Path(nyfold.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        limit = 2 * 1024**3
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        ini = tmp_path / "big.ini"
+        ini.write_text("[grid]\nn_points = 1000000000000\n", encoding="utf-8")
+        out = tmp_path / "o"
+        command = [sys.executable, "-m", "nyfold.cli", "zone-id",
+                   "--config", str(ini), "--out", str(out)]
+        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120,
+                              preexec_fn=cap_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("nyfold: config error: out of memory: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_benchmarked_runs_import_no_scipy(self, tmp_path):
         """Every experiment runs on numpy alone: scipy stays unimported."""

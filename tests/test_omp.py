@@ -91,15 +91,15 @@ class TestOmpRecover:
             assert_allclose(result.residual_norm, np.linalg.norm(y - atoms @ oracle),
                             rtol=1e-12)
 
-    def test_selection_log_tracks_progress(self, op):
+    def test_residual_log_tracks_progress(self, op):
         bins = np.array([5, 200, 400])
         y = op.forward(SparseSpectrum(bins, np.array([3.0, 2.0, 1.0 + 0j])))
         result = omp_recover(op, y, max_iters=3)
-        assert len(result.selection_log) == result.iterations == 3
-        logged_bins = [entry[0] for entry in result.selection_log]
-        assert logged_bins == list(result.support)
-        residuals = [entry[2] for entry in result.selection_log]
+        assert len(result.residual_norms) == result.iterations == 3
+        assert sorted(result.support) == bins.tolist()
+        residuals = result.residual_norms
         assert all(a >= b for a, b in zip(residuals, residuals[1:]))
+        assert residuals[-1] == result.residual_norm
 
     def test_strongest_tone_found_first(self, op):
         y = op.forward(
@@ -110,7 +110,7 @@ class TestOmpRecover:
 
     def test_residual_tolerance_stops_early(self, op):
         y = op.forward(SparseSpectrum(np.array([123]), np.array([2.0 + 0j])))
-        result = omp_recover(op, y, max_iters=10, residual_tol=1e-10)
+        result = omp_recover(op, y, max_iters=10)
         assert result.iterations == 1
         assert result.support == [123]
 
@@ -135,8 +135,12 @@ class TestOmpRecover:
             omp_recover(op, y, max_iters=op.k_measurements + 1)
 
     def test_wrong_length_input_rejected(self, op):
+        """omp_recover leaves its shape check to omp_recover_batch."""
+        k = op.k_measurements
         with pytest.raises(ValueError):
-            omp_recover(op, np.ones(op.k_measurements + 1, complex), max_iters=1)
+            omp_recover(op, np.ones(k + 1, complex), max_iters=1)
+        with pytest.raises(ValueError):
+            omp_recover(op, np.ones((1, k), complex), max_iters=1)
 
     def test_collision_defeats_recovery(self, uniform_op):
         """Identical atoms under a uniform clock: the second tone is lost."""
@@ -183,7 +187,7 @@ def assert_same_result(got, want):
     assert got.coefficients.tobytes() == want.coefficients.tobytes()
     assert got.residual_norm == want.residual_norm
     assert got.iterations == want.iterations
-    assert got.selection_log == want.selection_log
+    assert got.residual_norms == want.residual_norms
 
 
 class CountingOp(SensingOperator):
@@ -226,11 +230,11 @@ class TestOmpRecoverBatch:
     def test_rows_equal_single_row_bitwise(self, op, batch, monkeypatch, rows_per_block):
         if rows_per_block is not None:
             monkeypatch.setattr(omp, "_BATCH_POINTS", rows_per_block * op.n_bins)
-        results = omp_recover_batch(op, batch, self.MAX_ITERS, residual_tol=1e-10)
+        results = omp_recover_batch(op, batch, self.MAX_ITERS)
         monkeypatch.undo()
         assert len(results) == len(batch)
         for row, got in zip(batch, results):
-            assert_same_result(got, omp_recover(op, row, self.MAX_ITERS, 1e-10))
+            assert_same_result(got, omp_recover(op, row, self.MAX_ITERS))
         assert [r.iterations for r in results] == [self.MAX_ITERS, 0, 1, self.MAX_ITERS]
 
     @settings(max_examples=60, deadline=None)
@@ -244,13 +248,10 @@ class TestOmpRecoverBatch:
             max_size=6,
         ),
         max_iters=st.integers(min_value=1, max_value=8),
-        residual_tol=st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=0.5)),
         rows_per_block=st.integers(min_value=1, max_value=3),
     )
-    def test_rows_equal_single_row_bitwise_property(
-        self, op, rows, max_iters, residual_tol, rows_per_block
-    ):
-        """Random rows, tolerances and block sizes: rows leave early and blocks shrink."""
+    def test_rows_equal_single_row_bitwise_property(self, op, rows, max_iters, rows_per_block):
+        """Random rows, budgets and block sizes: rows leave early and blocks shrink."""
         k = op.k_measurements
         batch = []
         for kind, seed in rows:
@@ -268,21 +269,21 @@ class TestOmpRecoverBatch:
                 batch.append(clean if kind == "noiseless" else noisy)
         batch = np.stack(batch)
         try:
-            want = [omp_recover(op, row, max_iters, residual_tol) for row in batch]
+            want = [omp_recover(op, row, max_iters) for row in batch]
         except GramSingularError:
             with pytest.raises(GramSingularError):
-                omp_recover_batch(op, batch, max_iters, residual_tol)
+                omp_recover_batch(op, batch, max_iters)
             return
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(omp, "_BATCH_POINTS", rows_per_block * op.n_bins)
-            results = omp_recover_batch(op, batch, max_iters, residual_tol)
+            results = omp_recover_batch(op, batch, max_iters)
         assert len(results) == len(batch)
         for got, expected in zip(results, want):
             assert_same_result(got, expected)
 
     def test_one_adjoint_per_iteration_over_active_rows(self, op, batch):
         counting = CountingOp(op)
-        omp_recover_batch(counting, batch, self.MAX_ITERS, residual_tol=1e-10)
+        omp_recover_batch(counting, batch, self.MAX_ITERS)
         k = op.k_measurements
         # the zero row never enters; the one-tone row leaves after iteration 1
         assert counting.adjoint_shapes == [(3, k)] + [(2, k)] * (self.MAX_ITERS - 1)
@@ -318,7 +319,7 @@ class TestScoreRecovery:
         return RecoveryResult(
             support=list(support),
             coefficients=np.ones(len(support), dtype=complex),
-            selection_log=[],
+            residual_norms=[],
         )
 
     def test_matches_within_bin_tolerance(self):

@@ -269,13 +269,12 @@ class TestModulationConstant:
 
 class TestRecoveryBounds:
     def test_pairwise_bound_values(self):
-        delta2, delta5 = pairwise_deviation_bound(1.21, 1e4, 1e7, 5)
+        delta2 = pairwise_deviation_bound(1.21, 1e4, 1e7)
         assert_allclose(delta2, 1.21 * math.sqrt(1e-3), rtol=1e-12)
-        assert_allclose(delta5, 5 * delta2, rtol=1e-12)
 
     def test_pairwise_bound_rejects_weak_regime(self):
         with pytest.raises(ValueError):
-            pairwise_deviation_bound(1.3, 1e5, 5e5, 2)  # 1.3*sqrt(0.2) > 0.5
+            pairwise_deviation_bound(1.3, 1e5, 5e5)  # 1.3*sqrt(0.2) > 0.5
 
     def test_guaranteed_sparsity_examples(self):
         assert guaranteed_sparsity_convex(0.0382) == 5

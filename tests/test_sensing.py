@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from nyfold.rip import estimate_modulation_constant
 from nyfold.sensing import SensingOperator, SparseSpectrum, empirical_rip
 from nyfold.signal_clock import (
     ClockConfig,
@@ -331,6 +332,25 @@ class TestGramAndDeviation:
         spec = SparseSpectrum(np.array([5, 5 + k]), np.array([1.0, 1.0 + 0j]))
         assert op.spectral_norm_deviation(spec) > 0.99
         assert chirped_op.spectral_norm_deviation(spec) < 0.5
+
+    def test_pairwise_bound_holds_one_harmonic_apart_not_everywhere(self):
+        """On criterion 05's grid and clock, C sqrt(f_res / f_dev) bounds the two-tone
+        deviation at the one offset the criterion samples, one clock harmonic (K bins),
+        but 4 offsets d <= N/2, 241-244 bins past it, exceed the bound."""
+        grid = TimeGrid(1e-10, 2**18)
+        cycles = round(2e8 * grid.duration)
+        clock = ClockConfig(cycles / grid.duration, LinearChirp(1e7, grid.duration))
+        op = SensingOperator(grid, compute_sample_schedule(clock, grid))
+        c_value = estimate_modulation_constant(clock, grid, 20).c_value
+        bound = c_value * math.sqrt(grid.f_res / clock.f_dev)
+        stride = round(clock.f_s1 / grid.f_res)
+        assert stride == op.k_measurements == 5243
+        assert_allclose([c_value, bound], [1.18645, 0.073279], rtol=0, atol=5e-6)
+        assert op.gram_eigen_bounds([0, stride])[2] == pytest.approx(0.02972, abs=5e-6)
+        assert op.gram_eigen_bounds([0, 5485])[2] == pytest.approx(0.075227, abs=5e-7)
+        # a two-bin support's deviation is |p[d]|, its Gram's off-diagonal entry
+        deviation = np.abs(op.point_spread[1 : grid.n_points // 2 + 1])
+        assert (np.flatnonzero(deviation > bound) + 1).tolist() == [5484, 5485, 5486, 5487]
 
     def test_support_limit_guard(self, op):
         big = np.arange(65)

@@ -11,12 +11,12 @@ from numpy.testing import assert_allclose
 
 from nyfold.experiments import (
     PRESETS,
+    RUNNERS,
     SCALES,
     _build_clock,
     _build_grid,
     _value,
     resolve_config,
-    run_spectrum,
 )
 from nyfold.signal_clock import (
     TWO_PI,
@@ -533,7 +533,7 @@ def spectrum_magnitudes(tone_hz, **sections):
         "spectrum": {"signal_mode": "complex"},
         **sections,
     }
-    manifest = run_spectrum(resolve_config("spectrum", "desk", overrides), 0, "desk")
+    manifest = RUNNERS["spectrum"](resolve_config("spectrum", "desk", overrides), 0, "desk")
     freqs = np.array([r["frequency_hz"] for r in manifest.records])
     return freqs, np.array([r["magnitude"] for r in manifest.records])
 
