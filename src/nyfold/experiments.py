@@ -236,6 +236,12 @@ def resolve_config(
     for section, keys in config.items():
         for key in keys:
             _value(config, section, key)
+    # every preset clock carries an f_dev_hz, so only one the INI sets is refused
+    if ("f_dev_hz" in (overrides or {}).get("clock", {})
+            and _value(config, "clock", "modulation") == "none"
+            and _value(config, "clock", "f_dev_hz") != 0.0):
+        raise ConfigError(f"[clock] f_dev_hz = {config['clock']['f_dev_hz']} has no effect "
+                          "with [clock] modulation = none")
     return config
 
 

@@ -9,18 +9,20 @@ factors it as ``L L^H`` and two ``numpy.linalg.solve`` calls on ``L`` and
 raises rather than being silently regularized.
 
 Pursuit runs in lockstep over a batch of measurement rows: each iteration
-hands the ``(B, K)`` residuals of all still-active rows to one adjoint, so B
-correlations cost one row-wise FFT call. Every row keeps its own support,
-Gram, Cholesky factor and residual log, and leaves the active set once its
-residual norm drops to ``_RESIDUAL_TOL`` times its measurement norm (all-zero
-rows never enter it). Rows are processed in blocks of at most
-``_BATCH_POINTS / N`` rows to bound the FFT buffer. Each block allocates its
-workspace once: a ``(rows entering, N)`` complex array that every
-iteration's adjoint writes into through ``adjoint(out=...)``, its leading
-rows once some have left, and one length-N magnitude buffer. Each result is
-bitwise equal to pursuing its row alone; ``omp_recover`` is the batch-of-1
-case. ``pursue_trials`` builds a Monte Carlo batch in the sample domain and
-pursues it.
+hands the ``(B, K)`` residuals of all still-active rows to one adjoint call,
+which transforms them in one row-wise FFT, or row by row when two or three
+rows remain. Every row keeps its own support, Gram, Cholesky factor and
+residual log, and its selected atoms as contiguous length-K rows, so the Gram
+column and the residual are products with those rows and no conjugated copy.
+A row leaves the active set once its residual norm drops to ``_RESIDUAL_TOL``
+times its measurement norm (all-zero rows never enter it). Rows are processed
+in blocks of at most ``_BATCH_POINTS / N`` rows to bound the FFT buffer.
+Each block allocates its workspace once: a ``(rows entering, N)`` complex
+array that every iteration's adjoint writes into through ``adjoint(out=...)``,
+its leading rows once some have left, and one length-N magnitude buffer. Each
+result is bitwise equal to pursuing its row alone; ``omp_recover`` is the
+batch-of-1 case. ``pursue_trials`` builds a Monte Carlo batch in the sample
+domain and pursues it.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ import numpy as np
 from .sensing import SensingOperator
 from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 
-# cap on N * rows per lockstep block: 4 rows at N = 2^18, 1 at N = 10^6. The
-# FFT time per row is flat from 2 to 16 rows at N = 2^18, and 2-4 rows at
-# N = 10^6 ran slower per row than one, so larger blocks would only add memory.
+# cap on N * rows per lockstep block: 4 rows at N = 2^18, 1 at N = 10^6. At
+# N = 2^18, numpy's FFT runs faster per row only from four rows on (below
+# that the adjoint transforms row by row), and 2-4 rows at N = 10^6 ran
+# slower per row than one, so larger blocks would mostly add memory.
 _BATCH_POINTS = 2**20
 # a row stops once its residual norm drops to this fraction of its measurement norm
 _RESIDUAL_TOL = 1e-12
@@ -142,7 +145,7 @@ def _omp_block(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[Recov
     """The OMP iteration for one block of rows; one adjoint per iteration."""
     b, k = Y.shape
     y_norms = [float(np.linalg.norm(y)) for y in Y]
-    selected = np.empty((b, k, max_iters), dtype=complex)
+    selected = np.empty((b, max_iters, k), dtype=complex)  # one contiguous atom per row
     gram = np.zeros((b, max_iters, max_iters), dtype=complex)
     rhs = np.empty((b, max_iters), dtype=complex)
     supports: list[list[int]] = [[] for _ in range(b)]
@@ -167,11 +170,11 @@ def _omp_block(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[Recov
 
             atom = op.atoms([bin_j])[:, 0]
             i = len(support)
-            cross = selected[r, :, :i].conj().T @ atom
-            gram[r, :i, i] = cross
-            gram[r, i, :i] = cross.conj()
+            cross = selected[r, :i] @ atom.conj()  # <atom, a_j> for each selected a_j
+            gram[r, i, :i] = cross
+            gram[r, :i, i] = cross.conj()
             gram[r, i, i] = np.vdot(atom, atom).real
-            selected[r, :, i] = atom
+            selected[r, i] = atom
             rhs[r, i] = np.vdot(atom, Y[r])
             support.append(bin_j)
 
@@ -182,7 +185,7 @@ def _omp_block(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[Recov
             half_solved = np.linalg.solve(factor, rhs[r, : i + 1])
             coefficients[r] = np.linalg.solve(factor.conj().T, half_solved)
 
-            residuals[r] = Y[r] - selected[r, :, : i + 1] @ coefficients[r]
+            residuals[r] = Y[r] - coefficients[r] @ selected[r, : i + 1]
             residual_norm = float(np.linalg.norm(residuals[r]))
             residual_norms[r].append(residual_norm)
             if residual_norm > _RESIDUAL_TOL * y_norms[r]:

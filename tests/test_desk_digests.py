@@ -1,13 +1,15 @@
 """The committed desk-output digests of tools/desk_digests.py.
 
-Running the six desk presets takes minutes, so these tests only check that the
-digest file parses, covers every experiment's outputs, and that a mismatch is
-reported with its first differing row.
+Running the six desk presets takes minutes, so these tests check that the
+digest file parses and covers every experiment's outputs, that a mismatch is
+reported with its first differing row, and run only the quickest preset.
 """
 
 import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 from nyfold.experiments import EXPERIMENTS
 
@@ -45,3 +47,12 @@ def test_mismatch_names_the_first_differing_row(capsys):
         "mod-constant/results.csv: mismatch, first differing row 3 "
         "(4 rows expected, 4 written)",
     ]
+
+
+def test_run_preset_reports_wall_seconds_and_peak_rss(tmp_path):
+    tool = load_tool()
+    digests, wall_s, peak_rss_mb = tool.run_preset("strip-table", tmp_path / "strip-table")
+    assert digests == tool.load_digests()["strip-table"]
+    assert 0.0 < wall_s and 1.0 < peak_rss_mb < 1024.0
+    with pytest.raises(RuntimeError, match="no-such-preset exited 2: usage"):
+        tool.run_preset("no-such-preset", tmp_path / "none")

@@ -685,6 +685,20 @@ class TestCli:
         rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0.0"] * 3  # f_dev_hz
 
+    @pytest.mark.parametrize("f_dev, code", [("5e7", 2), ("0", 0)])
+    def test_unmodulated_clock_refuses_an_ini_f_dev(self, tmp_path, capsys, f_dev, code):
+        """With modulation = none, an INI-set nonzero [clock] f_dev_hz would be echoed
+        in the manifest but never used, so it exits 2 naming the key; 0 still runs."""
+        sections = {name: dict(keys) for name, keys in TINY_OVERRIDES["recovery-sweep"].items()}
+        sections["clock"] = {**sections["clock"], "modulation": "none", "f_dev_hz": f_dev}
+        ini = tmp_path / "none.ini"
+        write_sections(ini, sections)
+        out = tmp_path / "o"
+        assert cli.main(["recovery-sweep", "--config", str(ini), "--out", str(out)]) == code
+        if code == 2:
+            assert "config error: [clock] f_dev_hz = 5e7" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("sparsity", ["200", "200 200"])
     def test_deviation_sweep_needs_two_sparsities(self, tmp_path, capsys, sparsity):
         ini = tmp_path / "one.ini"

@@ -114,13 +114,36 @@ class TestOperatorAlgebra:
         assert_allclose(op.adjoint(y), dense.conj().T @ y, atol=1e-10)
 
     def test_batched_adjoint_equals_per_row_bitwise(self, chirped_op):
+        """Whichever FFT path a batch of 1-6 rows takes, each row holds its own
+        scaled transform, allocated, in a fresh out and in a stale NaN-filled one."""
         rng = np.random.default_rng(31)
-        k = chirped_op.k_measurements
-        y = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
-        batch = chirped_op.adjoint(y)
-        assert batch.shape == (5, chirped_op.n_bins)
-        for b in range(5):
-            assert np.array_equal(batch[b], chirped_op.adjoint(y[b]))
+        k, n = chirped_op.k_measurements, chirped_op.n_bins
+        for rows in range(1, 7):
+            y = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+            want = np.zeros((rows, n), dtype=complex)
+            want[:, chirped_op.schedule.indices] = y
+            want = np.array([np.fft.fft(row) * (1.0 / math.sqrt(k)) for row in want])
+            fresh, stale = np.zeros((rows, n), dtype=complex), np.full((rows, n), np.nan + 0j)
+            for out in (None, fresh, stale):
+                assert chirped_op.adjoint(y, out=out).tobytes() == want.tobytes()
+            assert np.array_equal(want[-1], chirped_op.adjoint(y[-1]))
+
+    def test_adjoint_never_transforms_two_or_three_rows_at_once(self, chirped_op, monkeypatch):
+        """numpy's FFT of two or more rows takes more scratch memory than one row
+        and runs no faster per row below four rows, so 2-3 rows go one by one."""
+        shapes = []
+        fft = np.fft.fft
+
+        def recorder(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorder)
+        k, n = chirped_op.k_measurements, chirped_op.n_bins
+        chirped_op.adjoint(np.ones(k))
+        for rows in range(1, 7):
+            chirped_op.adjoint(np.ones((rows, k)))
+        assert shapes == [(n,), (1, n), (n,), (n,), (n,), (n,), (n,), (4, n), (5, n), (6, n)]
 
     def test_adjoint_rejects_bad_shapes(self, op):
         k = op.k_measurements

@@ -10,7 +10,8 @@ Each experiment runs as a fresh ``python -m nyfold.cli EXPERIMENT --scale desk
 --seed 0`` process with ``PYTHONPATH=src``, one at a time, into a temporary
 directory. Its ``results.csv``, any extra table (``spectrogram.csv``) and its
 ``manifest.txt`` without the ``wall_clock_s`` line are hashed whole and row by
-row. The script prints ``match`` or ``mismatch`` per file, and on a mismatch
+row. The script prints each run's wall seconds and peak RSS (the child's
+``ru_maxrss``), then ``match`` or ``mismatch`` per file, and on a mismatch
 the first row whose digest differs. Desk ``recovery-sweep`` alone takes 6-16
 minutes on a 2-core machine. Exit status: 0 all match, 1 any mismatch or
 failed run.
@@ -25,6 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,16 +55,29 @@ def file_digest(rows: list[str]) -> dict:
             "rows": " ".join(_sha256(row)[:ROW_DIGEST_CHARS] for row in rows)}
 
 
-def run_preset(experiment: str, out_dir: Path) -> dict:
-    """Run one desk preset in a fresh process and digest the files it writes."""
+def run_preset(experiment: str, out_dir: Path) -> tuple[dict, float, float]:
+    """Run one desk preset in a fresh process and digest the files it writes.
+
+    Returns the digests, the process's wall seconds and its peak RSS in MB
+    (the child's ``ru_maxrss`` from ``os.wait4``).
+    """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nyfold.cli", experiment, "--scale", "desk",
-         "--seed", str(SEED), "--out", str(out_dir)],
-        cwd=ROOT, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{experiment} exited {proc.returncode}: {proc.stderr.strip()}")
-    return {path.name: file_digest(_rows(path)) for path in sorted(out_dir.iterdir())}
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nyfold.cli", experiment, "--scale", "desk",
+             "--seed", str(SEED), "--out", str(out_dir)],
+            cwd=ROOT, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            stderr = err.read().decode("utf-8", "replace").strip()
+            raise RuntimeError(f"{experiment} exited {proc.returncode}: {stderr}")
+    digests = {path.name: file_digest(_rows(path)) for path in sorted(out_dir.iterdir())}
+    return digests, wall_s, usage.ru_maxrss / 1024.0
 
 
 def compare(experiment: str, expected: dict, actual: dict) -> bool:
@@ -102,11 +117,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for experiment in EXPERIMENTS:
             try:
-                actual = run_preset(experiment, Path(tmp) / experiment)
+                actual, wall_s, peak_rss_mb = run_preset(experiment, Path(tmp) / experiment)
             except RuntimeError as exc:
                 print(f"{experiment}: failed: {exc}")
                 ok = False
                 continue
+            print(f"{experiment}: {wall_s:.1f} s wall, {peak_rss_mb:.1f} MB peak RSS")
             if args.write:
                 digests[experiment] = actual
                 print(f"{experiment}: recorded {', '.join(actual)}")
