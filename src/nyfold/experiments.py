@@ -75,13 +75,8 @@ class ResultManifest:
     wall_clock_s: float = 0.0
     extra_tables: dict[str, list[list[str]]] = field(default_factory=dict)
 
-    @property
-    def fieldnames(self) -> list[str]:
-        """The CSV columns: the first record's keys, in order."""
-        return list(self.records[0])
-
     def write_csv(self, path) -> None:
-        fieldnames = self.fieldnames
+        fieldnames = list(self.records[0])  # the CSV columns, in the first record's order
         _write_rows(path, [fieldnames] + [
             [_cell(record[name]) for name in fieldnames] for record in self.records])
 
@@ -107,11 +102,8 @@ class ResultManifest:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    # every record value is an int or a float
+    return str(int(value)) if isinstance(value, (int, np.integer)) else repr(float(value))
 
 
 def _write_rows(path, rows) -> None:
@@ -273,8 +265,9 @@ _MAX, _TINY = math.nextafter(math.inf, 0.0), math.ulp(0.0)  # low=_TINY admits a
 _COUNT = _integer(1)
 _POSITIVE = _Kind(float, "positive and finite", _TINY, _MAX)
 _NON_NEGATIVE = _Kind(float, "non-negative and finite", 0.0, _MAX)
+_NON_NEGATIVES = replace(_NON_NEGATIVE, many=True)
 _UNIT = _Kind(float, "in (0, 1)", _TINY, math.nextafter(1.0, 0.0))
-_FINITES = _Kind(float, "finite", -_MAX, _MAX, many=True)  # ToneSpec checks tone signs
+_FINITES = _Kind(float, "finite", -_MAX, _MAX, many=True)
 
 KINDS: dict[str, dict[str, _Kind]] = {
     "strip": {"n_bins": _integer(4), "k_measurements": _COUNT, "delta": _UNIT,
@@ -285,7 +278,8 @@ KINDS: dict[str, dict[str, _Kind]] = {
                                   choices=("none", "chirp", "sine"))},
     # delta_1 is 0 for unit-norm atoms, and s = 2 would name delta_s's note delta2_bound
     "estimate": {"k_max": _COUNT, "sparsity_for_bound": _integer(3)},
-    "tones": {"frequencies_hz": _FINITES, "amplitudes": _FINITES, "phases_rad": _FINITES},
+    "tones": {"frequencies_hz": _NON_NEGATIVES, "amplitudes": _NON_NEGATIVES,
+              "phases_rad": _FINITES},
     "spectrum": {"stft_window": _integer(8), "stft_hop": _COUNT,
                  "signal_mode": _Kind(str.lower, "real or complex", choices=("real", "complex"))},
     "sweep": {"sparsity": _integer(1, span=True), "trials": _COUNT, "tol_bins": _integer(0),
@@ -293,7 +287,7 @@ KINDS: dict[str, dict[str, _Kind]] = {
               # power, the signal's times 10**(-snr_db / 10), finite
               "snr_db": _Kind(float, "numbers in [-3000, 3000] or inf", -3000.0, 3000.0,
                               many=True, choices=(math.inf,)),
-              "min_separation_bins": _NON_NEGATIVE, "f_dev_hz": replace(_NON_NEGATIVE, many=True)},
+              "min_separation_bins": _NON_NEGATIVE, "f_dev_hz": _NON_NEGATIVES},
     "zones": {"n_zones": _COUNT, "trials": _COUNT,
               "noise_sigma2": _Kind(float, "positive and finite, in [1e-300, 1e300]",
                                     1e-300, 1e300),
@@ -416,13 +410,14 @@ def _spectrum(config, seed: int):
     amps = _value(config, "tones", "amplitudes")
     phases = _value(config, "tones", "phases_rad")
     if not (len(freqs) == len(amps) == len(phases)):
-        raise ConfigError("tone frequency/amplitude/phase lists differ in length")
+        raise ConfigError("[tones] frequencies_hz, amplitudes and phases_rad must be equally "
+                          f"long, got {len(freqs)}, {len(amps)} and {len(phases)} values")
     mode = _value(config, "spectrum", "signal_mode")
+    tones = [ToneSpec(f, a, p) for f, a, p in zip(freqs, amps, phases)]  # KINDS admits them
     try:
-        tones = [ToneSpec(f, a, p) for f, a, p in zip(freqs, amps, phases)]
         check_tone_band(tones, grid)
     except ValueError as exc:
-        raise ConfigError(f"invalid tone: {exc}") from exc
+        raise ConfigError(f"[tones] frequencies_hz: {exc}") from exc
 
     # the folded spectrum is the operator's adjoint of the K samples, rescaled
     # to the unitary N-point DFT of the zero-filled sample train
@@ -551,7 +546,8 @@ def _zone_id(config, seed: int):
     grid = _build_grid(config)
     clock = _build_clock(config)
     if not isinstance(clock.modulation, LinearChirp):
-        raise ConfigError("zone-id needs a chirp-modulated clock")
+        raise ConfigError(f"[clock] modulation = {config['clock']['modulation']} with f_dev_hz = "
+                          f"{config['clock']['f_dev_hz']}: zone-id needs a chirp-modulated clock")
     n_zones = _value(config, "zones", "n_zones")
     trials = _value(config, "zones", "trials")
     sigma2 = _value(config, "zones", "noise_sigma2")
@@ -664,8 +660,8 @@ class Plot:
     """One SVG line plot of the result records against column ``x``.
 
     ``series`` holds ``(label, y column)`` pairs. With ``group`` set, the
-    records split into one line per distinct value of that column, ordered by
-    value (``descending`` reverses it) and labelled ``label.format(value)``.
+    records split into one line per distinct value of that column, in order of
+    first appearance (the sweep order) and labelled ``label.format(value)``.
     """
 
     title: str
@@ -674,7 +670,6 @@ class Plot:
     ylabel: str
     series: tuple[tuple[str, str], ...]
     group: Optional[str] = None
-    descending: bool = False
 
 
 @dataclass(frozen=True)
@@ -706,7 +701,7 @@ SPECS: dict[str, Experiment] = {
     "recovery-sweep": Experiment(
         _recovery_sweep,
         Plot("Recovery failure vs sparsity", "sparsity", "tones", "failure fraction",
-             (("{:g} dB", "failure_fraction"),), group="snr_db", descending=True),
+             (("{:g} dB", "failure_fraction"),), group="snr_db"),
     ),
     "zone-id": Experiment(
         _zone_id,
@@ -756,7 +751,7 @@ def write_plots(manifest: ResultManifest, out_dir: Path) -> list[Path]:
     if plot.group is None:
         groups = [(None, records)]
     else:
-        values = sorted({r[plot.group] for r in records}, reverse=plot.descending)
+        values = dict.fromkeys(r[plot.group] for r in records)
         groups = [(v, [r for r in records if r[plot.group] == v]) for v in values]
     series = [
         (label.format(value), [float(r[plot.x]) for r in rows], [float(r[y]) for r in rows])

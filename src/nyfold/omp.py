@@ -146,7 +146,7 @@ def _omp_block(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[Recov
     b, k = Y.shape
     y_norms = [float(np.linalg.norm(y)) for y in Y]
     selected = np.empty((b, max_iters, k), dtype=complex)  # one contiguous atom per row
-    gram = np.zeros((b, max_iters, max_iters), dtype=complex)
+    gram = np.empty((b, max_iters, max_iters), dtype=complex)  # cholesky reads only its lower half
     rhs = np.empty((b, max_iters), dtype=complex)
     supports: list[list[int]] = [[] for _ in range(b)]
     residual_norms: list[list[float]] = [[] for _ in range(b)]
@@ -172,7 +172,6 @@ def _omp_block(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[Recov
             i = len(support)
             cross = selected[r, :i] @ atom.conj()  # <atom, a_j> for each selected a_j
             gram[r, i, :i] = cross
-            gram[r, :i, i] = cross.conj()
             gram[r, i, i] = np.vdot(atom, atom).real
             selected[r, i] = atom
             rhs[r, i] = np.vdot(atom, Y[r])

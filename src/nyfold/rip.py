@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -79,15 +80,18 @@ def max_recoverable_sparsity(n: int, k: int, delta_target: float, p_fail: float)
 
     Convex recovery of an s-sparse signal needs the isometry to hold at
     sparsity 2s, so the bound is evaluated there. Returns 0 if even s = 1 fails.
-    The bound grows with s, so s is found by doubling and then bisection.
+    The bound grows with s, so ``_largest_passing`` finds s exactly.
     """
     if not (0.0 < p_fail < 1.0):
         raise ValueError("p_fail must lie in (0, 1)")
+    return _largest_passing(
+        lambda s: (2 * s - 1) / (n - 1) < delta_target
+        and strip_failure_probability(n, k, 2 * s, delta_target) <= p_fail)
 
-    def passes(s: int) -> bool:
-        return ((2 * s - 1) / (n - 1) < delta_target
-                and strip_failure_probability(n, k, 2 * s, delta_target) <= p_fail)
 
+def _largest_passing(passes: Callable[[int], bool]) -> int:
+    """Largest s >= 1 with ``passes(s)``, or 0 if none, for a ``passes`` that
+    holds up to some s and fails beyond it: doubling, then bisection."""
     lo, hi = 0, 1  # lo = 0 or passes(lo); doubling stops at the first hi that fails
     while passes(hi):
         lo, hi = hi, 2 * hi
@@ -189,16 +193,12 @@ def guaranteed_sparsity_convex(delta2_bound: float) -> int:
     """Largest s with 2 s * delta2_bound < sqrt(2) - 1 (convex recovery regime).
 
     Uses delta_{2s} <= 2s * delta_2 and the sqrt(2) - 1 threshold on the
-    doubled-support isometry constant.
+    doubled-support isometry constant. The float product grows with s, so
+    ``_largest_passing`` finds s exactly; 0 if even s = 1 fails.
     """
     if delta2_bound <= 0.0:
         raise ValueError("delta2_bound must be positive")
-    s = int(SQRT2_MINUS_1 / (2.0 * delta2_bound))
-    while 2.0 * (s + 1) * delta2_bound < SQRT2_MINUS_1:
-        s += 1
-    while s > 0 and not 2.0 * s * delta2_bound < SQRT2_MINUS_1:
-        s -= 1
-    return s
+    return _largest_passing(lambda s: 2.0 * s * delta2_bound < SQRT2_MINUS_1)
 
 
 def omp_guarantee_threshold(s: int) -> float:

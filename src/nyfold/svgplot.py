@@ -11,10 +11,8 @@ _COLORS = ["#1f6fb2", "#d1495b", "#3f7d20", "#8d5a97", "#c07d1a", "#3b3b3b"]
 _MAX_POINTS = 1500
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+def _ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / 5  # about six ticks; line_plot widens a zero span first
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * mag:

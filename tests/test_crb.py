@@ -215,3 +215,27 @@ class TestBatchedZoneTrials:
         args = (grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, 3, schedule)
         got = simulate_nz_trials(*args)
         assert got.tobytes() == per_trial_hits(*args).tobytes()
+
+
+def _nz_trials(n_zones=1, k_values=(5,), trials=1):
+    grid = TimeGrid(t_atom=1e-10, n_points=1000)  # f_atomic / 2 = 5 GHz
+    clock = ClockConfig(2e8, LinearChirp(1e7, 1e-7))
+    schedule = compute_sample_schedule(clock, grid)  # K = 20
+    return simulate_nz_trials(grid, clock, 10.0, n_zones, k_values, trials, 0, schedule)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: _nz_trials(n_zones=0), "n_zones"),
+        (lambda: _nz_trials(trials=0), "trial"),
+        (lambda: _nz_trials(n_zones=51), "zone span"),  # 51 * f_s1 / 2 = 5.1 GHz
+        (lambda: _nz_trials(k_values=(5, 0)), "K = 0"),
+        (lambda: _nz_trials(k_values=(21,)), "K = 21"),
+        (lambda: quartic_power_sum(-1), "non-negative"),
+    ],
+    ids=["no-zones", "no-trials", "zone-span", "k-zero", "k-past-schedule", "quartic-negative"],
+)
+def test_refuses_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -637,9 +637,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "experiment,ini_text,message",
         [
-            ("spectrum", "[tones]\namplitudes = -1 1 1 1\n", "amplitude must be non-negative"),
+            ("spectrum", "[tones]\namplitudes = -1 1 1 1\n",
+             "[tones] amplitudes must be non-negative"),
             ("spectrum", "[tones]\nfrequencies_hz = -5e8 2.5e9 4.5e9 6.5e9\n",
-             "frequency must be non-negative"),
+             "[tones] frequencies_hz must be non-negative"),
         ],
         ids=["spectrum-amplitude", "spectrum-frequency"],
     )
@@ -659,7 +660,30 @@ class TestCli:
         ini.write_text("[tones]\nfrequencies_hz = 5e8 2.5e9 4.5e9 5e10\n", encoding="utf-8")
         out = tmp_path / "o"
         assert cli.main(["spectrum", "--config", str(ini), "--out", str(out)]) == 2
-        assert "is at or above f_atomic/2 = 5e+10 Hz" in capsys.readouterr().err
+        assert ("[tones] frequencies_hz: tone at 5e+10 Hz is at or above f_atomic/2 = 5e+10 Hz"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment,ini_text,message",
+        [
+            ("spectrum", "[tones]\namplitudes = 1 1 1\n",
+             "[tones] frequencies_hz, amplitudes and phases_rad must be equally long, "
+             "got 4, 3 and 4 values"),
+            ("zone-id", "[clock]\nmodulation = sine\n",
+             "[clock] modulation = sine with f_dev_hz = 1e7: zone-id needs a chirp"),
+            ("zone-id", "[clock]\nf_dev_hz = 0\n",
+             "[clock] modulation = chirp with f_dev_hz = 0: zone-id needs a chirp"),
+        ],
+        ids=["tone-lists-unequal", "zone-id-sine", "zone-id-unmodulated"],
+    )
+    def test_tone_and_clock_refusals_name_their_key(self, tmp_path, capsys, experiment,
+                                                    ini_text, message):
+        ini = tmp_path / "refused.ini"
+        ini.write_text(ini_text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main([experiment, "--config", str(ini), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_deviation_sweep_rejects_clock_f_dev(self, tmp_path, capsys):

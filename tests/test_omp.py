@@ -398,3 +398,9 @@ class TestEndToEndNoisy:
         y = add_noise(clean, snr_db=20.0, seed=123)
         result = omp_recover(op, y, max_iters=2)
         assert sorted(result.support) == bins.tolist()
+
+
+def test_score_recovery_refuses_negative_tolerance():
+    result = RecoveryResult([3], np.ones(1, dtype=complex), [0.0])
+    with pytest.raises(ValueError, match="tol_bins"):
+        score_recovery(result, [ToneSpec(3e6)], TimeGrid(t_atom=1e-9, n_points=16), tol_bins=-1)

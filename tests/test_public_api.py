@@ -4,8 +4,8 @@ import inspect
 from dataclasses import fields
 
 import nyfold
-from nyfold import experiments, omp, rip, sensing, signal_clock
-from nyfold.experiments import ResultManifest
+from nyfold import experiments, omp, rip, sensing, signal_clock, svgplot
+from nyfold.experiments import Plot, ResultManifest
 from nyfold.sensing import SensingOperator
 
 REMOVED = {
@@ -41,12 +41,14 @@ REMOVED_PARAMETERS = {
     nyfold.omp_recover: {"residual_tol"},
     nyfold.omp_recover_batch: {"residual_tol"},
     nyfold.pairwise_deviation_bound: {"s"},
+    svgplot._ticks: {"n"},
 }
 REMOVED_FIELDS = {
     nyfold.ModulationConstant: {"c_value", "k_range", "band_definition"},
     nyfold.RecoveryResult: {"residual_norm", "iterations", "selection_log"},
     nyfold.FoldedTone: {"k_h", "beta"},
     ResultManifest: {"version", "fieldnames"},
+    Plot: {"descending"},
     nyfold.ChirpModel: {"chirp_rate", "start_frequency", "phase"},
 }
 
@@ -63,6 +65,7 @@ def test_removed_parameters_and_fields_are_gone():
         assert not names & set(inspect.signature(function).parameters)
     for cls, names in REMOVED_FIELDS.items():
         assert not names & {f.name for f in fields(cls)}
+    assert not hasattr(ResultManifest, "fieldnames")  # write_csv reads the first record
 
 
 def test_zone_trials_take_their_schedule():

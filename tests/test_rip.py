@@ -298,3 +298,49 @@ class TestRecoveryBounds:
     def test_omp_threshold_validation(self):
         with pytest.raises(ValueError):
             omp_guarantee_threshold(0)
+
+
+def scan_convex_sparsity(delta2, s_max):
+    """Oracle: every s = 1 .. s_max tested; the passing ones must be 1 .. answer."""
+    passing = [s for s in range(1, s_max + 1) if 2.0 * s * delta2 < SQRT2_MINUS_1]
+    assert passing == list(range(1, len(passing) + 1)) and len(passing) < s_max
+    return len(passing)
+
+
+def test_guaranteed_sparsity_matches_scan_at_every_boundary():
+    """At delta_2 = (sqrt(2) - 1) / 2s, where 2 s delta_2 meets the threshold,
+    and at both float neighbours, the search returns the scan's answer."""
+    for s in range(1, 2001):
+        exact = SQRT2_MINUS_1 / (2 * s)
+        for delta2 in (math.nextafter(exact, 0.0), exact, math.nextafter(exact, 1.0)):
+            assert guaranteed_sparsity_convex(delta2) == scan_convex_sparsity(delta2, s + 2), delta2
+
+
+def _tiny_clock_and_grid():
+    return ClockConfig(2e8, LinearChirp(1e7, 1e-7)), TimeGrid(t_atom=1e-10, n_points=1000)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: rip.ModulationConstant(np.array([0.0, 0.0])), "c_value"),
+        (lambda: rip.ModulationConstant(np.array([-1.2])), "c_value"),
+        (lambda: strip_failure_probability(1000, 0, 1, 0.4), "measurement"),
+        (lambda: strip_failure_probability(1000, 10, 0, 0.4), "sparsity"),
+        (lambda: max_recoverable_sparsity(1000, 10, 0.4, 0.0), "p_fail"),
+        (lambda: max_recoverable_sparsity(1000, 10, 0.4, 1.0), "p_fail"),
+        (lambda: kth_spectrum(np.ones(999), 1, *_tiny_clock_and_grid()), "length"),
+        (lambda: estimate_modulation_constant(*_tiny_clock_and_grid(), k_max=0), "k_max"),
+        (lambda: pairwise_deviation_bound(0.0, 1e4, 1e7), "positive"),
+        (lambda: pairwise_deviation_bound(1.2, -1e4, 1e7), "positive"),
+        (lambda: pairwise_deviation_bound(1.2, 1e4, 0.0), "positive"),
+        (lambda: guaranteed_sparsity_convex(0.0), "positive"),
+        (lambda: guaranteed_sparsity_convex(-0.1), "positive"),
+    ],
+    ids=["c-zero", "c-negative", "no-measurements", "no-sparsity", "p_fail-zero", "p_fail-one",
+         "spectrum-length", "k_max-zero", "pairwise-c", "pairwise-f_res", "pairwise-f_dev",
+         "convex-zero", "convex-negative"],
+)
+def test_refuses_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -456,3 +456,26 @@ class TestEmpiricalRip:
             empirical_rip(op, sparsity=0, trials=4, seed=0)
         with pytest.raises(ValueError):
             empirical_rip(op, sparsity=op.n_bins + 1, trials=4, seed=0)
+
+
+def _tiny_operator(indices=(0, 3, 7)):
+    return SensingOperator(TimeGrid(t_atom=1e-9, n_points=16), SampleSchedule(np.array(indices)))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: _tiny_operator((0, 3, 16)), "outside the grid"),
+        (lambda: _tiny_operator((-1, 3, 7)), "non-negative"),
+        (lambda: _tiny_operator().gram_matrix([]), "empty"),
+        (lambda: _tiny_operator().gram_matrix([2, 5, 2]), "distinct"),
+        (lambda: SparseSpectrum(np.array([], dtype=int), np.array([])), "no entries"),
+        (lambda: SparseSpectrum(np.array([2, 9]), np.ones(2)).to_dense(9), "exceed"),
+        (lambda: empirical_rip(_tiny_operator(), 2, trials=0, seed=0), "trial"),
+    ],
+    ids=["index-past-grid", "index-negative", "gram-empty", "gram-repeated", "spectrum-empty",
+         "dense-too-short", "rip-no-trials"],
+)
+def test_refuses_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

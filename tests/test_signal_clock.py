@@ -582,3 +582,21 @@ class TestFoldedSpectrum:
         else:  # 99.0-99.2% in band, and 90% in 0.854-0.861 |m| f_dev, for m = 1..4
             assert energy[band].sum() >= 0.98
             assert 0.8 <= narrowest / width <= 0.9
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: SampleSchedule(np.arange(3)).truncated(0), "truncation"),
+        (lambda: SampleSchedule(np.arange(3)).truncated(4), "truncation"),
+        (lambda: ClockConfig(0.0), "f_s1"),
+        (lambda: ClockConfig(math.inf), "f_s1"),
+        (lambda: fold_tone(-1.0, ClockConfig(2e8)), "f_c"),
+        (lambda: fold_tone(math.nan, ClockConfig(2e8)), "f_c"),
+    ],
+    ids=["truncate-zero", "truncate-past-size", "f_s1-zero", "f_s1-inf", "f_c-negative",
+         "f_c-nan"],
+)
+def test_refuses_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
