@@ -364,6 +364,8 @@ def _modulation_constant(config, section: str, clock: ClockConfig, grid: TimeGri
 def _strip_table(config, seed: int):
     n = _value(config, "strip", "n_bins")
     k = _value(config, "strip", "k_measurements")
+    if k > n:  # K sample rows are drawn from the N grid rows
+        raise ConfigError(f"[strip] k_measurements = {k} exceeds [strip] n_bins = {n}")
     delta = _value(config, "strip", "delta")
     tolerances = _value(config, "strip", "tolerances")
     records = []

@@ -61,9 +61,9 @@ class RecoveryResult:
     """OMP output: support bins in selection order, LS coefficients, and the
     residual norm after each iteration.
 
-    Each iteration adds one support bin and one residual norm; residual_norm is
-    the last one, and 0 for an all-zero row, the only row that takes no
-    iteration.
+    Each iteration adds one support bin and one residual norm, so the final
+    residual norm is ``residual_norms[-1]``. An all-zero row, the only row that
+    takes no iteration, has empty ``support`` and ``residual_norms``.
     """
 
     support: list[int]
@@ -73,10 +73,6 @@ class RecoveryResult:
     @property
     def iterations(self) -> int:
         return len(self.support)
-
-    @property
-    def residual_norm(self) -> float:
-        return self.residual_norms[-1] if self.residual_norms else 0.0
 
 
 def omp_recover(op: SensingOperator, y: np.ndarray, max_iters: int) -> RecoveryResult:

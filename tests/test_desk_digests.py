@@ -28,7 +28,8 @@ def test_digest_file_covers_every_experiment():
     assert tuple(digests) == EXPERIMENTS
     for experiment, files in digests.items():
         extra = {"spectrogram.csv"} if experiment == "spectrum" else set()
-        assert set(files) == {"results.csv", "manifest.txt"} | extra
+        plot = f"plot_{experiment.replace('-', '_')}.svg"
+        assert set(files) == {"results.csv", "manifest.txt", plot} | extra
         for entry in files.values():
             assert re.fullmatch("[0-9a-f]{64}", entry["sha256"])
             rows = entry["rows"].split()

@@ -193,6 +193,15 @@ class TestStripTableRunner:
         by_tol = {r["tolerance"]: r["max_sparsity"] for r in manifest.records}
         assert by_tol == {0.1: 84, 0.05: 42, 0.01: 8, 0.005: 4}
 
+    def test_as_many_measurements_as_bins_runs(self):
+        """K = N, the most rows an N-point grid admits, runs; a larger K exits 2."""
+        config = resolve_config("strip-table", "desk", {"strip": {"k_measurements": "1000000"}})
+        records = RUNNERS["strip-table"](config, seed=1, scale="desk").records
+        assert [r["max_sparsity"] for r in records] == [
+            max_recoverable_sparsity(10**6, 10**6, math.sqrt(2.0) - 1.0, r["tolerance"])
+            for r in records
+        ]
+
     def test_csv_bytes_deterministic(self, manifest, tmp_path):
         config = resolve_config("strip-table", "desk")
         again = RUNNERS["strip-table"](config, seed=1, scale="desk")
@@ -402,6 +411,7 @@ def test_empty_config_list_exits_2(experiment, sections, flags, tmp_path, capsys
         ("mod-constant", "clock", "f_dev_hz", "1e4"),  # delta_2 <= C sqrt(f_res / f_dev) = 4.0
         ("zone-id", "clock", "f_dev_hz", "1e4"),
         ("strip-table", "strip", "k_measurements", "0"),
+        ("strip-table", "strip", "k_measurements", "2000000"),  # K rows of N = 10^6
         ("strip-table", "strip", "n_bins", "3"),
         ("strip-table", "strip", "tolerances", "0 0.1"),
         ("strip-table", "strip", "delta", "1"),
@@ -852,8 +862,36 @@ class TestSvgPlot:
         )
         ET.fromstring(path.read_text(encoding="utf-8"))
 
-    def test_long_series_decimated(self, tmp_path):
+    def test_long_series_drawn_whole(self, tmp_path):
+        """Every finite point is drawn, at the length of the full-scale spectrum."""
         path = tmp_path / "big.svg"
-        xs = [float(i) for i in range(200_000)]
-        svgplot.line_plot(path, [("a", xs, xs)], "t", "x", "y")
-        assert path.stat().st_size < 300_000
+        xs = [float(i) for i in range(10_001)]
+        ys = [math.nan if i % 1000 == 7 else x for i, x in enumerate(xs)]
+        svgplot.line_plot(path, [("a", xs, ys)], "t", "x", "y")
+        assert len(polyline_points(path)) == 10_001 - 10
+
+    def test_spectrum_plot_draws_every_record(self, tmp_path):
+        """The desk spectrum plot has one point per results.csv row, and its topmost
+        point reads back as the CSV's largest magnitude."""
+        out = tmp_path / "out"
+        assert cli.main(["spectrum", "--scale", "desk", "--out", str(out), "--plots"]) == 0
+        rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "frequency_hz,magnitude"
+        magnitudes = [float(row.split(",")[1]) for row in rows[1:]]
+        assert len(magnitudes) > 1500
+        ys = [y for _, y in polyline_points(out / "plot_spectrum.svg")]
+        assert len(ys) == len(magnitudes)
+        assert ys.index(min(ys)) == magnitudes.index(max(magnitudes))
+        # invert line_plot's y mapping: the value span is padded by 4% on each side
+        lo, hi = min(magnitudes), max(magnitudes)
+        y_lo, y_hi = lo - 0.04 * (hi - lo), hi + 0.04 * (hi - lo)
+        plot_h = svgplot._HEIGHT - svgplot._MARGIN_T - svgplot._MARGIN_B
+        top = y_hi - (min(ys) - svgplot._MARGIN_T) / plot_h * (y_hi - y_lo)
+        assert top == pytest.approx(hi, abs=0.005 * (y_hi - y_lo) / plot_h)
+
+
+def polyline_points(path) -> list[tuple[float, float]]:
+    """The (x, y) pixel pairs of a one-series SVG plot's polyline."""
+    root = ET.fromstring(Path(path).read_text(encoding="utf-8"))
+    (line,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+    return [tuple(map(float, point.split(","))) for point in line.get("points").split()]

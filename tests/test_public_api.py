@@ -25,6 +25,13 @@ REMOVED = {
     "run_recovery_sweep": experiments,
     "run_zone_id": experiments,
     "run_deviation_sweep": experiments,
+    # plots draw every record, Gram bounds take any support
+    "_decimate": svgplot,
+    "_MAX_POINTS": svgplot,
+    "_GRAM_SUPPORT_LIMIT": sensing,
+    # read residual_norms[-1] and len(bins)
+    "residual_norm": nyfold.RecoveryResult,
+    "sparsity": nyfold.SparseSpectrum,
 }
 
 

@@ -63,7 +63,7 @@ class TestSparseSpectrum:
         dense = spec.to_dense(8)
         assert dense.shape == (8,)
         assert dense[1] == 1.0 and dense[5] == 2j
-        assert spec.sparsity == 2
+        assert len(spec.bins) == 2
 
     @pytest.mark.parametrize(
         "bins,coeff",
@@ -375,10 +375,17 @@ class TestGramAndDeviation:
         deviation = np.abs(op.point_spread[1 : grid.n_points // 2 + 1])
         assert (np.flatnonzero(deviation > bound) + 1).tolist() == [5484, 5485, 5486, 5487]
 
-    def test_support_limit_guard(self, op):
-        big = np.arange(65)
-        with pytest.raises(ValueError):
-            op.gram_eigen_bounds(big)
+    @pytest.mark.parametrize("size", [65, 200])
+    def test_eigen_bounds_take_any_support(self, size):
+        """Supports past the old 64-bin cap give the dense Gram's eigenvalues."""
+        op = make_operator(n_points=4096, f_s1=512.0, modulation=LinearChirp(32.0, 1.0),
+                           t_atom=1.0 / 4096)
+        support = np.sort(np.random.default_rng(size).choice(op.n_bins, size, replace=False))
+        atoms = op.atoms(support)
+        w = np.linalg.eigvalsh(atoms.conj().T @ atoms)
+        lo, hi, deviation = op.gram_eigen_bounds(support)
+        assert_allclose([lo, hi, deviation], [w[0], w[-1], max(1 - w[0], w[-1] - 1)],
+                        rtol=0, atol=1e-12)
 
     def test_point_spread_is_the_mask_fft(self):
         """p = conj(FFT(mask)) / K, taken on first use and then kept."""

@@ -7,12 +7,13 @@ Run from the repository root:
     python3 tools/desk_digests.py --write    # record the current outputs' digests
 
 Each experiment runs as a fresh ``python -m nyfold.cli EXPERIMENT --scale desk
---seed 0`` process with ``PYTHONPATH=src``, one at a time, into a temporary
-directory. Its ``results.csv``, any extra table (``spectrogram.csv``) and its
+--seed 0 --plots`` process with ``PYTHONPATH=src``, one at a time, into a
+temporary directory. Its ``results.csv``, any extra table (``spectrogram.csv``),
+its SVG plot (``plot_<experiment>.svg``, hyphens as underscores) and its
 ``manifest.txt`` without the ``wall_clock_s`` line are hashed whole and row by
 row. The script prints each run's wall seconds and peak RSS (the child's
-``ru_maxrss``), then ``match`` or ``mismatch`` per file, and on a mismatch
-the first row whose digest differs. Desk ``recovery-sweep`` alone takes 6-16
+``ru_maxrss``), then ``match`` or ``mismatch`` per file, and on a mismatch the
+first row whose digest differs. Desk ``recovery-sweep`` alone takes 6-16
 minutes on a 2-core machine. Exit status: 0 all match, 1 any mismatch or
 failed run.
 """
@@ -66,7 +67,7 @@ def run_preset(experiment: str, out_dir: Path) -> tuple[dict, float, float]:
         start = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, "-m", "nyfold.cli", experiment, "--scale", "desk",
-             "--seed", str(SEED), "--out", str(out_dir)],
+             "--seed", str(SEED), "--out", str(out_dir), "--plots"],
             cwd=ROOT, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
             stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
