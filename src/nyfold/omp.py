@@ -10,19 +10,19 @@ raises rather than being silently regularized.
 
 Pursuit runs in lockstep over a batch of measurement rows: each iteration
 hands the ``(B, K)`` residuals of all still-active rows to one adjoint call,
-which transforms them in one row-wise FFT, or row by row when two or three
-rows remain. Every row keeps its own support, Gram, Cholesky factor and
-residual log, and its selected atoms as contiguous length-K rows, so the Gram
-column and the residual are products with those rows and no conjugated copy.
-A row leaves the active set once its residual norm drops to ``_RESIDUAL_TOL``
-times its measurement norm (all-zero rows never enter it). Rows are processed
-in blocks of at most ``_BATCH_POINTS / N`` rows to bound the FFT buffer.
-Each block allocates its workspace once: a ``(rows entering, N)`` complex
-array that every iteration's adjoint writes into through ``adjoint(out=...)``,
-its leading rows once some have left, and one length-N magnitude buffer. Each
-result is bitwise equal to pursuing its row alone; ``omp_recover`` is the
-batch-of-1 case. ``pursue_trials`` builds a Monte Carlo batch in the sample
-domain and pursues it.
+which transforms them one row at a time. Every row keeps its own support,
+Gram, Cholesky factor and residual log, and its selected atoms as contiguous
+length-K rows, so the Gram column and the residual are products with those
+rows and no conjugated copy. A row leaves the active set once its residual
+norm drops to ``_RESIDUAL_TOL`` times its measurement norm (all-zero rows
+never enter it). Rows are processed in blocks of ``min(3, _BATCH_POINTS //
+N)`` rows, at least one (see ``_BATCH_POINTS``). Each block allocates its
+workspace once: a ``(rows entering, N)`` complex array that every
+iteration's adjoint writes into through ``adjoint(out=...)``, its leading
+rows once some have left. A row's magnitudes overwrite its correlation's real
+part, which is never read again. Each result is bitwise equal to pursuing its
+row alone; ``omp_recover`` is the batch-of-1 case. ``pursue_trials`` builds a
+Monte Carlo batch in the sample domain and pursues it.
 """
 
 from __future__ import annotations
@@ -36,10 +36,13 @@ import numpy as np
 from .sensing import SensingOperator
 from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 
-# cap on N * rows per lockstep block: 4 rows at N = 2^18, 1 at N = 10^6. At
-# N = 2^18, numpy's FFT runs faster per row only from four rows on (below
-# that the adjoint transforms row by row), and 2-4 rows at N = 10^6 ran
-# slower per row than one, so larger blocks would mostly add memory.
+# cap on N * rows per lockstep block, which also holds at most three rows: 3 at
+# N = 10^5 and 2^18, 1 at N = 10^6. Freeing a block's workspace raises glibc's
+# mmap threshold to its size; while that exceeds one row's FFT scratch, later
+# FFTs reuse heap pages instead of faulting in fresh ones. On zone-id
+# (N = 10^5), 3-row blocks peaked at 48 MB with 33k minor faults, against
+# 64 MB for 10 rows in one FFT call, 54 MB and 140k faults for 4, and 97k
+# faults and 50% more time for 2.
 _BATCH_POINTS = 2**20
 # a row stops once its residual norm drops to this fraction of its measurement norm
 _RESIDUAL_TOL = 1e-12
@@ -90,9 +93,9 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
     Each row stops after ``max_iters`` selections or once its residual norm
     drops to ``_RESIDUAL_TOL * ||y||``; an all-zero row returns an empty result.
     Ties in the correlation magnitude resolve to the lowest bin, which makes
-    the selection order deterministic. Rows run in blocks of at most
-    ``_BATCH_POINTS / N`` rows, and every result is bitwise equal to running
-    its row alone.
+    the selection order deterministic. Rows run in blocks of at most three
+    (see ``_BATCH_POINTS``), and every result is bitwise equal to running its
+    row alone.
 
     Raises
     ------
@@ -110,7 +113,7 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
     if not finite.all():
         raise ValueError(f"measurement row {int(np.argmin(finite))} is not finite")
 
-    block = max(1, _BATCH_POINTS // op.n_bins)
+    block = min(3, max(1, _BATCH_POINTS // op.n_bins))
     results: list[RecoveryResult] = []
     for start in range(0, len(Y), block):
         results.extend(_omp_block(op, Y[start : start + block], max_iters))
@@ -151,7 +154,6 @@ def _omp_block(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[Recov
     active = [r for r in range(b) if y_norms[r] != 0.0]
     # one adjoint workspace for the block; rows that leave shrink the slice
     work = np.empty((len(active), op.n_bins), dtype=complex)
-    magnitude = np.empty(op.n_bins)
 
     for _ in range(max_iters):
         if not active:
@@ -160,6 +162,7 @@ def _omp_block(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[Recov
         still_active = []
         for r, correlation in zip(active, correlations):
             support = supports[r]
+            magnitude = correlation.real  # no later read of the correlation
             np.abs(correlation, out=magnitude)
             magnitude[support] = -1.0
             bin_j = int(np.argmax(magnitude))  # argmax takes the lowest bin on ties

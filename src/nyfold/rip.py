@@ -63,8 +63,8 @@ def strip_failure_probability(n: int, k: int, s: int, delta: float) -> float:
     """Probability bound that a random size-s support violates deviation delta."""
     if n <= 3:
         raise ValueError("need more than three bins")
-    if k < 1:
-        raise ValueError("need at least one measurement")
+    if not 1 <= k <= n:
+        raise ValueError("need between 1 and n measurements")
     if s < 1:
         raise ValueError("sparsity must be positive")
     if not (0.0 < delta < 1.0):
@@ -84,6 +84,8 @@ def max_recoverable_sparsity(n: int, k: int, delta_target: float, p_fail: float)
     """
     if not (0.0 < p_fail < 1.0):
         raise ValueError("p_fail must lie in (0, 1)")
+    if k > n:
+        raise ValueError("need at most n measurements")
     return _largest_passing(
         lambda s: (2 * s - 1) / (n - 1) < delta_target
         and strip_failure_probability(n, k, 2 * s, delta_target) <= p_fail)

@@ -206,9 +206,8 @@ class TestBatchedZoneTrials:
 
         monkeypatch.setattr(crb, "SensingOperator", CountingOp)
         simulate_nz_trials(grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, 5, schedule)
-        block = omp._BATCH_POINTS // grid.n_points  # 10 rows at N = 10^5
-        widths = [block, block, self.TRIALS - 2 * block]  # ceil(trials / block) calls
-        assert shapes == [(w, k) for k in self.K_VALUES for w in widths]
+        # blocks of at most three rows: eight (3, K) calls per K for 24 trials
+        assert shapes == [(3, k) for k in self.K_VALUES for _ in range(8)]
 
     def test_batch_equals_per_trial_pursuit(self, config):
         grid, clock, schedule = config

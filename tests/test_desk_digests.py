@@ -52,8 +52,9 @@ def test_mismatch_names_the_first_differing_row(capsys):
 
 def test_run_preset_reports_wall_seconds_and_peak_rss(tmp_path):
     tool = load_tool()
-    digests, wall_s, peak_rss_mb = tool.run_preset("strip-table", tmp_path / "strip-table")
+    digests, wall_s, peak_rss_mb, minor_faults = tool.run_preset(
+        "strip-table", tmp_path / "strip-table")
     assert digests == tool.load_digests()["strip-table"]
-    assert 0.0 < wall_s and 1.0 < peak_rss_mb < 1024.0
+    assert 0.0 < wall_s and 1.0 < peak_rss_mb < 1024.0 and minor_faults > 0
     with pytest.raises(RuntimeError, match="no-such-preset exited 2: usage"):
         tool.run_preset("no-such-preset", tmp_path / "none")

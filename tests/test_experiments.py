@@ -222,7 +222,7 @@ class TestRecoverySweepRunner:
         "sweep": {"sparsity": "2:10:4", "snr_db": "10 0 -10", "trials": "6"},
     }
 
-    @pytest.mark.parametrize("rows_per_block", [None, 4])
+    @pytest.mark.parametrize("rows_per_block", [None, 2])
     def test_csv_matches_golden(self, tmp_path, monkeypatch, rows_per_block):
         """results.csv is pinned byte for byte, also with trials split across blocks."""
         if rows_per_block is not None:

@@ -283,8 +283,10 @@ class TestOmpRecoverBatch:
         counting = CountingOp(op)
         omp_recover_batch(counting, batch, self.MAX_ITERS)
         k = op.k_measurements
-        # the zero row never enters; the one-tone row leaves after iteration 1
-        assert counting.adjoint_shapes == [(3, k)] + [(2, k)] * (self.MAX_ITERS - 1)
+        # blocks of three rows: in the first, the zero row never enters and the
+        # one-tone row leaves after iteration 1; the noise row is the second
+        first = [(2, k)] + [(1, k)] * (self.MAX_ITERS - 1)
+        assert counting.adjoint_shapes == first + [(1, k)] * self.MAX_ITERS
         counting.assert_one_buffer_per_block(self.MAX_ITERS)
 
     def test_blocks_bound_rows_per_adjoint(self, op, batch, monkeypatch):
@@ -310,6 +312,42 @@ class TestOmpRecoverBatch:
         with pytest.raises(ValueError):
             omp_recover_batch(op, np.ones((2, k + 1), dtype=complex), max_iters=1)
         assert omp_recover_batch(op, np.ones((0, k), dtype=complex), max_iters=1) == []
+
+
+def dense_reference_omp(dictionary, y, max_iters):
+    """OMP by dense algebra: correlate with every column, take the strongest
+    unchosen bin, refit by lstsq. Shares no code with nyfold.omp."""
+    support, residual = [], y
+    for _ in range(max_iters):
+        magnitude = np.abs(dictionary.conj().T @ residual)
+        magnitude[support] = -1.0
+        support.append(int(np.argmax(magnitude)))
+        chosen = dictionary[:, support]
+        coefficients, *_ = np.linalg.lstsq(chosen, y, rcond=None)
+        residual = y - chosen @ coefficients
+    return support, coefficients
+
+
+def test_batch_matches_dense_reference_omp():
+    """20 noisy rows with s <= 6 on an N = 4096 chirp grid, pursued in blocks."""
+    grid = TimeGrid(t_atom=1.0 / 4096, n_points=4096)
+    clock = ClockConfig(f_s1=256.0, modulation=LinearChirp(64.0, 1.0))
+    op = SensingOperator(grid, compute_sample_schedule(clock, grid))
+    dictionary = op.atoms(range(op.n_bins))
+    rng = np.random.default_rng(4096)
+    rows = []
+    for _ in range(20):
+        s = int(rng.integers(1, 7))
+        bins = np.sort(rng.choice(op.n_bins, size=s, replace=False))
+        coeff = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        rows.append(add_noise(op.forward(SparseSpectrum(bins, coeff)), 15.0,
+                              seed=int(rng.integers(2**63))))
+    max_iters = 6
+    results = omp_recover_batch(op, np.stack(rows), max_iters)
+    for y, got in zip(rows, results):
+        support, coefficients = dense_reference_omp(dictionary, y, max_iters)
+        assert got.support == support
+        assert_allclose(got.coefficients, coefficients, rtol=0, atol=1e-12)
 
 
 class TestScoreRecovery:

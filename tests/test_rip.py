@@ -89,6 +89,10 @@ class TestMaxRecoverableSparsity:
             for k in (1, 3, 100, 10**4):
                 for delta in (0.05, SQRT2_MINUS_1, 0.9):
                     for p_fail in (1e-6, 0.01, 0.1, 0.5, 0.99):
+                        if k > n:  # K rows cannot be drawn from N < K bins
+                            with pytest.raises(ValueError, match="at most n"):
+                                max_recoverable_sparsity(n, k, delta, p_fail)
+                            continue
                         assert max_recoverable_sparsity(n, k, delta, p_fail) == scan_sparsity(
                             n, k, delta, p_fail), (n, k, delta, p_fail)
 
@@ -327,8 +331,10 @@ def _tiny_clock_and_grid():
         (lambda: rip.ModulationConstant(np.array([-1.2])), "c_value"),
         (lambda: strip_failure_probability(1000, 0, 1, 0.4), "measurement"),
         (lambda: strip_failure_probability(1000, 10, 0, 0.4), "sparsity"),
+        (lambda: strip_failure_probability(10**6, 2 * 10**6, 10, SQRT2_MINUS_1), "1 and n"),
         (lambda: max_recoverable_sparsity(1000, 10, 0.4, 0.0), "p_fail"),
         (lambda: max_recoverable_sparsity(1000, 10, 0.4, 1.0), "p_fail"),
+        (lambda: max_recoverable_sparsity(10**6, 2 * 10**6, SQRT2_MINUS_1, 0.1), "at most n"),
         (lambda: kth_spectrum(np.ones(999), 1, *_tiny_clock_and_grid()), "length"),
         (lambda: estimate_modulation_constant(*_tiny_clock_and_grid(), k_max=0), "k_max"),
         (lambda: pairwise_deviation_bound(0.0, 1e4, 1e7), "positive"),
@@ -337,7 +343,8 @@ def _tiny_clock_and_grid():
         (lambda: guaranteed_sparsity_convex(0.0), "positive"),
         (lambda: guaranteed_sparsity_convex(-0.1), "positive"),
     ],
-    ids=["c-zero", "c-negative", "no-measurements", "no-sparsity", "p_fail-zero", "p_fail-one",
+    ids=["c-zero", "c-negative", "no-measurements", "no-sparsity", "strip-k-above-n",
+         "p_fail-zero", "p_fail-one", "max-sparsity-k-above-n",
          "spectrum-length", "k_max-zero", "pairwise-c", "pairwise-f_res", "pairwise-f_dev",
          "convex-zero", "convex-negative"],
 )

@@ -128,9 +128,9 @@ class TestOperatorAlgebra:
                 assert chirped_op.adjoint(y, out=out).tobytes() == want.tobytes()
             assert np.array_equal(want[-1], chirped_op.adjoint(y[-1]))
 
-    def test_adjoint_never_transforms_two_or_three_rows_at_once(self, chirped_op, monkeypatch):
-        """numpy's FFT of two or more rows takes more scratch memory than one row
-        and runs no faster per row below four rows, so 2-3 rows go one by one."""
+    def test_adjoint_transforms_every_row_alone(self, chirped_op, monkeypatch):
+        """numpy's FFT of two or more rows holds more scratch memory than one
+        row, so every batch is transformed one (N,) row at a time."""
         shapes = []
         fft = np.fft.fft
 
@@ -143,7 +143,7 @@ class TestOperatorAlgebra:
         chirped_op.adjoint(np.ones(k))
         for rows in range(1, 7):
             chirped_op.adjoint(np.ones((rows, k)))
-        assert shapes == [(n,), (1, n), (n,), (n,), (n,), (n,), (n,), (4, n), (5, n), (6, n)]
+        assert shapes == [(n,)] * (1 + sum(range(1, 7)))
 
     def test_adjoint_rejects_bad_shapes(self, op):
         k = op.k_measurements

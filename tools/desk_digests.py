@@ -11,10 +11,10 @@ Each experiment runs as a fresh ``python -m nyfold.cli EXPERIMENT --scale desk
 temporary directory. Its ``results.csv``, any extra table (``spectrogram.csv``),
 its SVG plot (``plot_<experiment>.svg``, hyphens as underscores) and its
 ``manifest.txt`` without the ``wall_clock_s`` line are hashed whole and row by
-row. The script prints each run's wall seconds and peak RSS (the child's
-``ru_maxrss``), then ``match`` or ``mismatch`` per file, and on a mismatch the
-first row whose digest differs. Desk ``recovery-sweep`` alone takes 6-16
-minutes on a 2-core machine. Exit status: 0 all match, 1 any mismatch or
+row. The script prints each run's wall seconds, peak RSS and minor page
+faults (the child's ``ru_maxrss`` and ``ru_minflt``), then ``match`` or
+``mismatch`` per file, and on a mismatch the first row whose digest differs.
+Desk ``recovery-sweep`` alone takes 6-16 minutes on a 2-core machine. Exit status: 0 all match, 1 any mismatch or
 failed run.
 """
 
@@ -56,11 +56,12 @@ def file_digest(rows: list[str]) -> dict:
             "rows": " ".join(_sha256(row)[:ROW_DIGEST_CHARS] for row in rows)}
 
 
-def run_preset(experiment: str, out_dir: Path) -> tuple[dict, float, float]:
+def run_preset(experiment: str, out_dir: Path) -> tuple[dict, float, float, int]:
     """Run one desk preset in a fresh process and digest the files it writes.
 
-    Returns the digests, the process's wall seconds and its peak RSS in MB
-    (the child's ``ru_maxrss`` from ``os.wait4``).
+    Returns the digests, the process's wall seconds, its peak RSS in MB and
+    its minor page faults (the child's ``ru_maxrss`` and ``ru_minflt`` from
+    ``os.wait4``).
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryFile() as err:
@@ -78,7 +79,7 @@ def run_preset(experiment: str, out_dir: Path) -> tuple[dict, float, float]:
             stderr = err.read().decode("utf-8", "replace").strip()
             raise RuntimeError(f"{experiment} exited {proc.returncode}: {stderr}")
     digests = {path.name: file_digest(_rows(path)) for path in sorted(out_dir.iterdir())}
-    return digests, wall_s, usage.ru_maxrss / 1024.0
+    return digests, wall_s, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def compare(experiment: str, expected: dict, actual: dict) -> bool:
@@ -118,12 +119,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for experiment in EXPERIMENTS:
             try:
-                actual, wall_s, peak_rss_mb = run_preset(experiment, Path(tmp) / experiment)
+                actual, wall_s, peak_rss_mb, minor_faults = run_preset(
+                    experiment, Path(tmp) / experiment)
             except RuntimeError as exc:
                 print(f"{experiment}: failed: {exc}")
                 ok = False
                 continue
-            print(f"{experiment}: {wall_s:.1f} s wall, {peak_rss_mb:.1f} MB peak RSS")
+            print(f"{experiment}: {wall_s:.1f} s wall, {peak_rss_mb:.1f} MB peak RSS, "
+                  f"{minor_faults} minor page faults")
             if args.write:
                 digests[experiment] = actual
                 print(f"{experiment}: recorded {', '.join(actual)}")
