@@ -89,13 +89,18 @@ class SensingOperator:
 
         The half ``d <= N/2`` is the conjugated real FFT of the sample mask;
         the rest is its mirror, so ``p[N - d] == conj(p[d])`` holds bitwise.
+        Both are written into ``p`` and scaled there, with no concatenated or
+        divided copy.
         """
         n = self.n_bins
         mask = np.zeros(n)
         mask[self.schedule.indices] = 1.0
-        half = np.fft.rfft(mask).conj()  # d = 0 .. N // 2
-        mirror = half[1 : (n + 1) // 2][::-1].conj()  # d = N // 2 + 1 .. N - 1
-        return np.concatenate([half, mirror]) / self.k_measurements
+        half = np.fft.rfft(mask)
+        p = np.empty(n, dtype=complex)
+        np.conjugate(half, out=p[: len(half)])  # d = 0 .. N // 2
+        p[len(half) :] = half[1 : (n + 1) // 2][::-1]  # d = N // 2 + 1 .. N - 1
+        p /= self.k_measurements
+        return p
 
     def atoms(self, bins: Sequence[int]) -> np.ndarray:
         """Materialize unit-norm columns for the given bins (K x len(bins))."""

@@ -1,6 +1,7 @@
 """Tests for experiment presets, result serialization, runners, and the CLI."""
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -342,17 +343,29 @@ class TestSpectrumRunner:
         assert len(manifest.records) == 164
 
 
+# OMP reads its early correlations from p, built once for the sweep's one
+# operator; zone-id's one-step pursuit has nothing to update and builds none
+POINT_SPREAD_BUILDS = {"recovery-sweep": 1, "zone-id": 0}
+
+
 @pytest.mark.parametrize("experiment", ["recovery-sweep", "zone-id"])
 def test_benchmarked_runs_compute_no_point_spread(experiment, tmp_path, monkeypatch):
-    """Neither run gathers Gram entries, so neither pays the point-spread FFT."""
-    def no_point_spread(self):
-        raise AssertionError("point_spread computed")
+    """Neither run gathers Gram entries, so p is built only where OMP reads it."""
+    built = []
+    compute = SensingOperator.point_spread.func
 
-    monkeypatch.setattr(SensingOperator, "point_spread", property(no_point_spread))
+    def counted(self):
+        built.append(self)
+        return compute(self)
+
+    point_spread = functools.cached_property(counted)
+    point_spread.__set_name__(SensingOperator, "point_spread")
+    monkeypatch.setattr(SensingOperator, "point_spread", point_spread)
     ini = tmp_path / "tiny.ini"
     write_sections(ini, TINY_OVERRIDES[experiment])
     argv = [experiment, "--config", str(ini), "--seed", "11", "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 0
+    assert len(built) == POINT_SPREAD_BUILDS[experiment]
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from nyfold.sensing import SensingOperator, SparseSpectrum
 from nyfold.signal_clock import (
     ClockConfig,
     LinearChirp,
+    SampleSchedule,
     TimeGrid,
     ToneSpec,
     add_noise,
@@ -153,10 +154,12 @@ class TestOmpRecover:
         """Duplicate dictionary columns surface as GramSingularError."""
 
         class RiggedOp:
-            # two identical atoms; adjoint is the honest A^H y
+            # two identical atoms; adjoint is the honest A^H y, and the
+            # all-ones Gram is the circulant of point spread p = [1, 1]
             n_bins = 2
             k_measurements = 4
             _column = np.ones(4, dtype=complex) / 2.0
+            point_spread = np.ones(2, dtype=complex)
 
             def atoms(self, bins):
                 return np.stack([self._column] * len(np.atleast_1d(bins)), axis=1)
@@ -279,7 +282,9 @@ class TestOmpRecoverBatch:
         for got, expected in zip(results, want):
             assert_same_result(got, expected)
 
-    def test_one_adjoint_per_iteration_over_active_rows(self, op, batch):
+    def test_one_adjoint_per_iteration_over_active_rows(self, op, batch, monkeypatch):
+        """With no point-spread updates, every iteration takes one adjoint."""
+        monkeypatch.setattr(omp, "_PSF_ATOMS", 0)
         counting = CountingOp(op)
         omp_recover_batch(counting, batch, self.MAX_ITERS)
         k = op.k_measurements
@@ -289,13 +294,30 @@ class TestOmpRecoverBatch:
         assert counting.adjoint_shapes == first + [(1, k)] * self.MAX_ITERS
         counting.assert_one_buffer_per_block(self.MAX_ITERS)
 
+    @pytest.mark.parametrize("psf_atoms", [1, 2, 4, omp._PSF_ATOMS])
+    def test_adjoint_at_first_iteration_and_from_psf_atoms_on(
+        self, op, batch, monkeypatch, psf_atoms
+    ):
+        """Iterations 2 .. _PSF_ATOMS read p; the first and later ones take an adjoint."""
+        monkeypatch.setattr(omp, "_PSF_ATOMS", psf_atoms)
+        counting = CountingOp(op)
+        omp_recover_batch(counting, batch, self.MAX_ITERS)
+        k = op.k_measurements
+        later = max(0, self.MAX_ITERS - psf_atoms)  # adjoints after the first, per block
+        # the one-tone row leaves the first block after iteration 1, so its
+        # later adjoints hold one row, as do all of the second block's
+        first = [(2, k)] + [(1, k)] * later
+        assert counting.adjoint_shapes == first + [(1, k)] * (1 + later)
+        counting.assert_one_buffer_per_block(1 + later)
+
     def test_blocks_bound_rows_per_adjoint(self, op, batch, monkeypatch):
         monkeypatch.setattr(omp, "_BATCH_POINTS", 2 * op.n_bins)
         counting = CountingOp(op)
         omp_recover_batch(counting, batch, 2)
         assert max(shape[0] for shape in counting.adjoint_shapes) == 2
-        assert len(counting.adjoint_shapes) == 4  # two blocks, two iterations each
-        counting.assert_one_buffer_per_block(2)
+        # two blocks, one adjoint each: the second iteration reads p
+        assert len(counting.adjoint_shapes) == 2
+        counting.assert_one_buffer_per_block(1)
 
     def test_non_finite_row_named(self, op, batch):
         bad = batch.copy()
@@ -312,6 +334,65 @@ class TestOmpRecoverBatch:
         with pytest.raises(ValueError):
             omp_recover_batch(op, np.ones((2, k + 1), dtype=complex), max_iters=1)
         assert omp_recover_batch(op, np.ones((0, k), dtype=complex), max_iters=1) == []
+
+
+class TestPointSpreadCorrelations:
+    """Correlations read from p select the bins the adjoint FFT selects."""
+
+    MAX_ITERS = 16  # past _PSF_ATOMS, so rows also switch to the FFT
+
+    @staticmethod
+    def operator(n):
+        rng = np.random.default_rng(n)
+        indices = np.sort(rng.choice(n, size=n // 8, replace=False))
+        return SensingOperator(TimeGrid(t_atom=1e-9, n_points=n), SampleSchedule(indices))
+
+    @staticmethod
+    def batch(op):
+        """Rows: tones at bins 0 and N - 1, noisy and noiseless (stops early),
+        zero, noise, and a noiseless pair that stops after two iterations."""
+        n, k = op.n_bins, op.k_measurements
+        rng = np.random.default_rng(n)
+        edges = op.forward(SparseSpectrum(np.array([0, 5, n - 1]), np.array([2.0, 0.5j, -1.5])))
+        pair = op.forward(SparseSpectrum(np.array([1, n // 2]), np.array([1.0, 1.0j])))
+        noise = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        return np.stack([add_noise(edges, 20.0, seed=n), edges, np.zeros(k), noise, pair])
+
+    @pytest.mark.parametrize("n", [512, 1001, 2**14 + 3])
+    @pytest.mark.parametrize("chunk", [64, 100, omp._PSF_CHUNK])
+    def test_equal_to_fft_path_bitwise(self, n, chunk, monkeypatch):
+        op = self.operator(n)
+        batch = self.batch(op)
+        monkeypatch.setattr(omp, "_PSF_CHUNK", chunk)
+        got = omp_recover_batch(op, batch, self.MAX_ITERS)
+        monkeypatch.setattr(omp, "_PSF_ATOMS", 0)  # every iteration takes the adjoint
+        want = omp_recover_batch(op, batch, self.MAX_ITERS)
+        for g, w in zip(got, want):
+            assert_same_result(g, w)
+        assert {0, n - 1} <= set(got[0].support)
+        assert [r.iterations for r in got] == [self.MAX_ITERS, 3, 0, self.MAX_ITERS, 2]
+
+    def test_ties_across_chunks_go_to_the_lowest_bin(self, monkeypatch):
+        monkeypatch.setattr(omp, "_PSF_CHUNK", 4)
+        p = np.zeros(10, dtype=complex)
+        p[0], p[2] = 1.0, -2.0
+        g = np.zeros(10, dtype=complex)
+        g[[4, 5, 9]] = [2.0, 5.0, 2j]
+        # the selected bin 5 adds 2 at bin 3, the last of chunk 0: |corr| = 2
+        # at bins 3, 4 and 9, in chunks 0, 1 and 2, and 4 at bin 5, excluded
+        assert omp._psf_argmax(g, p, [5], np.array([1.0 + 0j])) == 3
+        assert omp._psf_argmax(g, p, [], np.zeros(0, dtype=complex)) == 5
+        g[5] = 0.0
+        assert omp._psf_argmax(g, p, [], np.zeros(0, dtype=complex)) == 4
+
+    def test_one_step_pursuit_builds_no_point_spread(self, op):
+        class NoPointSpread(SensingOperator):
+            @property
+            def point_spread(self):
+                raise AssertionError("point_spread computed")
+
+        rows = np.ones((2, op.k_measurements), dtype=complex)
+        assert len(omp_recover_batch(NoPointSpread(op.grid, op.schedule), rows, 1)) == 2
 
 
 def dense_reference_omp(dictionary, y, max_iters):

@@ -300,6 +300,16 @@ class TestScipyOracle:
         # p[N - d] == conj(p[d]) exactly; at d = N/2 only the zero's sign differs
         assert np.array_equal(p[:0:-1], p[1:].conj())
 
+    @pytest.mark.parametrize("n", [2**18, 10**5, 1001, 3**9 * 5])
+    def test_point_spread_is_the_concatenated_halves(self, n):
+        """Built in place, p keeps the bits of conj(rfft) joined to its mirror."""
+        op, _ = self.random_operator(n)
+        mask = np.zeros(n)
+        mask[op.schedule.indices] = 1.0
+        half = np.fft.rfft(mask).conj()
+        mirror = half[1 : (n + 1) // 2][::-1].conj()
+        assert_same_bits(op.point_spread, np.concatenate([half, mirror]) / op.k_measurements)
+
 
 class TestGramAndDeviation:
     def test_gram_matches_dense(self, op, dense):
