@@ -8,36 +8,31 @@ support's Hermitian Gram system: ``numpy.linalg.cholesky`` factors it as
 coefficients. There is no regularization; a singular Gram raises rather than
 being silently regularized.
 
-The correlations come from two sources. ``Phi* Phi`` is circulant, so with
-``g = Phi* y`` the residual's correlation is ``g[n] - sum_j c_j p[(b_j - n)
-mod N]``, read from the operator's point-spread function ``p`` (Batch-OMP's
-``alpha = alpha0 - G_I gamma_I``; Rubinstein, Zibulevsky and Elad, Technion
-CS-2008-08). While a row's support holds fewer than ``_PSF_ATOMS`` atoms, its
-correlation is that sum, taken ``_PSF_CHUNK`` bins at a time; from then on
-it is one adjoint FFT of the explicit residual. The two sources differ in
-their last bits; the refit reads only the selected bins, so a result can
-change only where they pick different bins, and on every row tested they
-picked the same ones. A one-step pursuit (``max_iters = 1``) reads no ``p``
-and builds none.
+``Phi* Phi`` is circulant, so the Gram system and the early correlations
+both read the operator's point-spread function ``p`` (Batch-OMP's ``alpha =
+alpha0 - G_I gamma_I``; Rubinstein, Zibulevsky and Elad, Technion
+CS-2008-08). Gram entry ``(i, j)`` is ``p[(b_j - b_i) mod N]``, as in
+``SensingOperator.gram_matrix``, on a diagonal of 1.0. With ``g = Phi* y``,
+the residual's correlation is ``g[n] - sum_j c_j p[(b_j - n) mod N]`` while
+the support holds fewer than ``_PSF_ATOMS`` atoms, and one adjoint FFT of the
+explicit residual from then on; the two differ in their last bits, and on
+every row tested they picked the same bins. One helper, ``_strongest_bin``,
+picks every bin. A one-step pursuit (``max_iters = 1``) builds no ``p``.
 
 Pursuit runs in lockstep over a batch of measurement rows: the first
 iteration, and every iteration from ``_PSF_ATOMS`` atoms on, hands the
 ``(B, K)`` residuals of all still-active rows to one adjoint call, which
 transforms them one row at a time. Every row keeps its own support, Gram,
 Cholesky factor and residual log, and its selected atoms as contiguous
-length-K rows, so the Gram column and the residual are products with those
-rows and no conjugated copy. A row leaves the active set once its residual
-norm drops to ``_RESIDUAL_TOL`` times its measurement norm (all-zero rows
-never enter it). Rows are processed in blocks of ``min(3, _BATCH_POINTS //
-N)`` rows, at least one (see ``_BATCH_POINTS``). Each block allocates its
-workspace once: a ``(rows entering, N)`` complex array that every adjoint
-writes into through ``adjoint(out=...)``, its leading rows once some have
-left. A row keeps g in its workspace row while it reads correlations from
-``p``; once it takes adjoints, its magnitudes overwrite its correlation's
-real part, which is never read again. Each result is bitwise equal to
-pursuing its row alone; ``omp_recover`` is the batch-of-1 case.
-``pursue_trials`` builds a Monte Carlo batch in the sample domain and
-pursues it.
+length-K rows. A row leaves the active set once its residual norm drops to
+``_RESIDUAL_TOL`` times its measurement norm (all-zero rows never enter it).
+Rows are processed in blocks of ``min(3, _BATCH_POINTS // N)`` rows, at
+least one. Each ``omp_recover_batch`` call allocates one ``(rows per block,
+N)`` complex workspace; every adjoint writes into its leading rows through
+``adjoint(out=...)``, and a row keeps g there while it reads ``p``. Each
+result is bitwise equal to pursuing its row alone; ``omp_recover`` is the
+batch-of-1 case. ``pursue_trials`` builds a Monte Carlo batch in the sample
+domain and pursues it.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from .sensing import SensingOperator
 from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 
 # cap on N * rows per lockstep block, which also holds at most three rows: 3 at
-# N = 10^5, 2 at 2^18, 1 at 10^6. Freeing a block's workspace raises glibc's
+# N = 10^5, 2 at 2^18, 1 at 10^6. Freeing a call's workspace raises glibc's
 # mmap threshold to its size; while that exceeds one row's FFT scratch, later
 # FFTs reuse heap pages instead of faulting in fresh ones. On zone-id
 # (N = 10^5), 3-row blocks peaked at 48 MB with 33k minor faults, against
@@ -69,8 +64,8 @@ _BATCH_POINTS = 2**19
 # at 1 atom, 5-7.5 ms at 12 and 7.6-11 ms at 16; on the recovery benchmark 12
 # and 16 ran alike.
 _PSF_ATOMS = 12
-# bins per chunk of a point-spread correlation, so that its sum, magnitude and
-# argmax stay in cache; 8192 and 16384 ran alike on the recovery benchmark
+# bins per chunk of a correlation's sum, magnitude and argmax, so that they
+# stay in cache; 8192 and 16384 ran alike on the recovery benchmark
 _PSF_CHUNK = 8192
 # a row stops once its residual norm drops to this fraction of its measurement norm
 _RESIDUAL_TOL = 1e-12
@@ -126,7 +121,7 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
     row alone. A block takes one adjoint at its first iteration and one per
     iteration from ``_PSF_ATOMS`` atoms on; in between, correlations are read
     from ``op.point_spread``, which is built before the first block when
-    ``max_iters > 1``.
+    ``max_iters > 1`` and also gives every Gram entry.
 
     Raises
     ------
@@ -145,12 +140,14 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
         raise ValueError(f"measurement row {int(np.argmin(finite))} is not finite")
 
     # a one-step pursuit reads no point-spread function, so it builds none;
-    # otherwise p is built here, before any block allocates its workspace
-    p = op.point_spread if max_iters > 1 and _PSF_ATOMS else None
+    # otherwise p is built here, before the workspace is allocated
+    p = op.point_spread if max_iters > 1 else None
     block = min(3, max(1, _BATCH_POINTS // op.n_bins))
+    # one adjoint workspace for every block; each writes into its leading rows
+    work = np.empty((min(block, len(Y)), op.n_bins), dtype=complex)
     results: list[RecoveryResult] = []
     for start in range(0, len(Y), block):
-        results.extend(_omp_block(op, Y[start : start + block], max_iters, p))
+        results.extend(_omp_block(op, Y[start : start + block], max_iters, p, work))
     return results
 
 
@@ -175,12 +172,9 @@ def pursue_trials(
 
 
 def _omp_block(
-    op: SensingOperator, Y: np.ndarray, max_iters: int, p: Optional[np.ndarray]
+    op: SensingOperator, Y: np.ndarray, max_iters: int, p: Optional[np.ndarray], work: np.ndarray
 ) -> list[RecoveryResult]:
-    """The OMP iteration for one block of rows; with ``p`` given, a row reads
-    its correlations from ``p`` and its first adjoint g = Phi* y while its
-    support holds fewer than ``_PSF_ATOMS`` atoms."""
-    psf_atoms = _PSF_ATOMS if p is not None else 0
+    """The OMP iteration for one block of rows, its adjoints written into ``work``."""
     b, k = Y.shape
     y_norms = [float(np.linalg.norm(y)) for y in Y]
     selected = np.empty((b, max_iters, k), dtype=complex)  # one contiguous atom per row
@@ -191,32 +185,26 @@ def _omp_block(
     coefficients = [np.zeros(0, dtype=complex) for _ in range(b)]
     residuals = Y.copy()
     active = [r for r in range(b) if y_norms[r] != 0.0]
-    # one adjoint workspace for the block; rows that leave shrink the slice
-    work = np.empty((len(active), op.n_bins), dtype=complex)
 
     for i in range(max_iters):  # every active row holds i atoms
         if not active:
             break
-        if i == 0 or i >= psf_atoms:
+        if i == 0 or i >= _PSF_ATOMS:
             adjoints = op.adjoint(residuals[active], out=work[: len(active)])
             correlations = dict(zip(active, adjoints))
         still_active = []
         for r in active:
             support = supports[r]
-            if i < psf_atoms:  # correlations[r] is g, which this leaves intact
-                bin_j = _psf_argmax(correlations[r], p, support, coefficients[r])
-            else:
-                magnitude = correlations[r].real  # no later read of the correlation
-                np.abs(correlations[r], out=magnitude)
-                magnitude[support] = -1.0
-                bin_j = int(np.argmax(magnitude))  # argmax takes the lowest bin on ties
+            # before _PSF_ATOMS atoms correlations[r] is g, and the coefficients
+            # turn it into the residual's correlation; an adjoint's is read as is
+            terms = coefficients[r] if i < _PSF_ATOMS else ()
+            bin_j = _strongest_bin(correlations[r], p, support, terms)
 
-            atom = op.atoms([bin_j])[:, 0]
-            cross = selected[r, :i] @ atom.conj()  # <atom, a_j> for each selected a_j
-            gram[r, i, :i] = cross
-            gram[r, i, i] = np.vdot(atom, atom).real
-            selected[r, i] = atom
-            rhs[r, i] = np.vdot(atom, Y[r])
+            if i:  # <a_i, a_j> = p[(b_j - b_i) mod N]; a one-step pursuit has no p
+                gram[r, i, :i] = p[(np.asarray(support) - bin_j) % op.n_bins]
+            gram[r, i, i] = 1.0  # unit-norm atoms: p[0] = K / K
+            selected[r, i] = op.atoms([bin_j])[:, 0]
+            rhs[r, i] = np.vdot(selected[r, i], Y[r])
             support.append(bin_j)
 
             try:
@@ -236,40 +224,43 @@ def _omp_block(
     return [RecoveryResult(supports[r], coefficients[r], residual_norms[r]) for r in range(b)]
 
 
-def _psf_argmax(
-    g: np.ndarray, p: np.ndarray, support: Sequence[int], coefficients: np.ndarray
+def _strongest_bin(
+    correlation: np.ndarray,
+    p: Optional[np.ndarray],
+    support: Sequence[int],
+    terms: Sequence[complex],
 ) -> int:
-    """Strongest bin outside ``support`` of ``g[n] - sum_j c_j p[(b_j - n) mod N]``.
+    """Strongest bin outside ``support`` of ``correlation[n] - sum_j c_j p[(b_j - n) mod N]``.
 
-    With ``g = Phi* y`` and ``p`` the point-spread function, that is the
-    correlation ``Phi* r`` of the residual ``r = y - sum_j c_j a_{b_j}``, since
-    ``(Phi* a_b)[n] = p[(b - n) mod N]``. Each term reads a descending run of
-    ``p``, in two slices where it wraps past ``p[0]``. The sum, its magnitude,
-    the support's exclusion and the argmax go one ``_PSF_CHUNK``-bin chunk at a
-    time; a later chunk wins only with a strictly larger magnitude, so ties
-    resolve to the lowest bin, as in ``numpy.argmax``.
+    ``c_j = terms[j]`` for the first ``len(terms)`` support bins; with no
+    terms, ``correlation`` is read as is and ``p`` not at all. With
+    ``correlation = Phi* y``, the sum is the correlation of the residual ``y -
+    sum_j c_j a_{b_j}``, since ``(Phi* a_b)[n] = p[(b - n) mod N]``. As
+    ``p[N - d] == conj(p[d])`` bitwise, the sum is formed conjugated, each term
+    a forward run of ``p`` scaled by ``conj(c_j)`` (two slices where it wraps),
+    so its magnitudes are bitwise those of the sum itself. Sum, magnitude,
+    exclusion and argmax go one ``_PSF_CHUNK``-bin chunk at a time; a later
+    chunk wins only with a strictly larger magnitude, so ties resolve to the
+    lowest bin, as in ``numpy.argmax``.
     """
-    n = len(g)
-    chunk = np.empty(min(_PSF_CHUNK, n), dtype=complex)
-    term = np.empty_like(chunk)
-    magnitude = np.empty(len(chunk))
+    n = len(correlation)
+    total, term = np.empty((2, min(_PSF_CHUNK, n)), dtype=complex)
+    magnitude = np.empty(len(total))
     best, best_bin = -math.inf, 0
     for lo in range(0, n, _PSF_CHUNK):
-        width = min(_PSF_CHUNK, n - lo)
-        total = chunk[:width]
-        total[:] = g[lo : lo + width]
-        for b, c in zip(support, coefficients):
-            start = (b - lo) % n  # p's index at bin lo, one lower at each next bin
-            head = min(start + 1, width)
-            runs = [(total[:head], p[start + 1 - head : start + 1])]
-            if head < width:  # the run wraps from p[0] to p[N - 1]
-                runs.append((total[head:], p[n - (width - head) :]))
-            for target, run in runs:
-                scaled = term[: len(target)]
-                np.multiply(run[::-1], c, out=scaled)
-                target -= scaled
-        mag = magnitude[:width]
-        np.abs(total, out=mag)
+        values = correlation[lo : lo + _PSF_CHUNK]
+        width = len(values)
+        if len(terms):
+            values = np.conjugate(values, out=total[:width])
+            for b, c in zip(support, terms):
+                start = (lo - b) % n  # p's index at bin lo, one higher at each next bin
+                head = min(n - start, width)
+                runs = [(values[:head], p[start : start + head])]
+                if head < width:  # the run wraps from p[N - 1] to p[0]
+                    runs.append((values[head:], p[: width - head]))
+                for target, run in runs:
+                    target -= np.multiply(run, c.conjugate(), out=term[: len(run)])
+        mag = np.abs(values, out=magnitude[:width])
         for b in support:
             if lo <= b < lo + width:
                 mag[b - lo] = -1.0

@@ -124,8 +124,8 @@ class SensingOperator:
 
         ``y`` of shape (K,) gives (N,); (B, K) gives (B, N), one row per
         measurement row, by one FFT call per row. ``out``, if given, receives
-        the result and is returned (see the module docstring); it must not
-        overlap ``y``.
+        the result and is returned (see the module docstring); one that
+        overlaps ``y`` raises ``ValueError``, since zeroing it would wipe ``y``.
         """
         y = np.asarray(y)
         if y.ndim not in (1, 2) or y.shape[-1] != self.k_measurements:
@@ -142,6 +142,8 @@ class SensingOperator:
             and out.flags.c_contiguous
         ):
             raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}")
+        elif np.may_share_memory(out, y):
+            raise ValueError("out must not overlap the measurements")
         else:
             out.fill(0.0)
         out[..., self.schedule.indices] = y  # schedule indices are strictly increasing

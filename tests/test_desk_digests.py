@@ -2,7 +2,8 @@
 
 Running the six desk presets takes minutes, so these tests check that the
 digest file parses and covers every experiment's outputs, that a mismatch is
-reported with its first differing row, and run only the quickest preset.
+reported with its first differing row, and run only the quickest preset and
+the quickest one that runs OMP (zone-id).
 """
 
 import importlib.util
@@ -58,3 +59,10 @@ def test_run_preset_reports_wall_seconds_and_peak_rss(tmp_path):
     assert 0.0 < wall_s and 1.0 < peak_rss_mb < 1024.0 and minor_faults > 0
     with pytest.raises(RuntimeError, match="no-such-preset exited 2: usage"):
         tool.run_preset("no-such-preset", tmp_path / "none")
+
+
+def test_zone_id_preset_matches_its_digests(tmp_path):
+    """Desk zone-id, the quickest preset that runs OMP, byte for byte."""
+    tool = load_tool()
+    digests, *_ = tool.run_preset("zone-id", tmp_path / "zone-id")
+    assert tool.compare("zone-id", tool.load_digests()["zone-id"], digests)

@@ -204,12 +204,10 @@ class CountingOp(SensingOperator):
         self.outs.append(out)
         return super().adjoint(y, out=out)
 
-    def assert_one_buffer_per_block(self, calls_per_block):
-        """Every call of a block wrote into a view of that block's one workspace."""
+    def assert_one_workspace(self):
+        """Every call, in every block, wrote into a view of one workspace."""
         assert all(out is not None for out in self.outs)
-        for i in range(0, len(self.outs), calls_per_block):
-            block = self.outs[i : i + calls_per_block]
-            assert all(np.shares_memory(out, block[0]) for out in block)
+        assert all(np.shares_memory(out, self.outs[0]) for out in self.outs)
 
 
 class TestOmpRecoverBatch:
@@ -292,7 +290,7 @@ class TestOmpRecoverBatch:
         # one-tone row leaves after iteration 1; the noise row is the second
         first = [(2, k)] + [(1, k)] * (self.MAX_ITERS - 1)
         assert counting.adjoint_shapes == first + [(1, k)] * self.MAX_ITERS
-        counting.assert_one_buffer_per_block(self.MAX_ITERS)
+        counting.assert_one_workspace()
 
     @pytest.mark.parametrize("psf_atoms", [1, 2, 4, omp._PSF_ATOMS])
     def test_adjoint_at_first_iteration_and_from_psf_atoms_on(
@@ -308,7 +306,7 @@ class TestOmpRecoverBatch:
         # later adjoints hold one row, as do all of the second block's
         first = [(2, k)] + [(1, k)] * later
         assert counting.adjoint_shapes == first + [(1, k)] * (1 + later)
-        counting.assert_one_buffer_per_block(1 + later)
+        counting.assert_one_workspace()
 
     def test_blocks_bound_rows_per_adjoint(self, op, batch, monkeypatch):
         monkeypatch.setattr(omp, "_BATCH_POINTS", 2 * op.n_bins)
@@ -317,7 +315,7 @@ class TestOmpRecoverBatch:
         assert max(shape[0] for shape in counting.adjoint_shapes) == 2
         # two blocks, one adjoint each: the second iteration reads p
         assert len(counting.adjoint_shapes) == 2
-        counting.assert_one_buffer_per_block(1)
+        counting.assert_one_workspace()
 
     def test_non_finite_row_named(self, op, batch):
         bad = batch.copy()
@@ -372,18 +370,77 @@ class TestPointSpreadCorrelations:
         assert {0, n - 1} <= set(got[0].support)
         assert [r.iterations for r in got] == [self.MAX_ITERS, 3, 0, self.MAX_ITERS, 2]
 
+    @pytest.mark.parametrize("n", [512, 1001, 2**14 + 3])
+    @pytest.mark.parametrize("chunk", [64, 100, omp._PSF_CHUNK])
+    def test_strongest_bin_equals_brute_force(self, n, chunk, monkeypatch):
+        """The chunked, conjugated sum picks the bin that |g - sum_j c_j p[(b_j - n)
+        mod N]| picks when every term is a descending fancy-indexed run of p."""
+        monkeypatch.setattr(omp, "_PSF_CHUNK", chunk)
+        op = self.operator(n)
+        p = op.point_spread
+        rng = np.random.default_rng(n + chunk)
+        g = op.adjoint(rng.standard_normal(op.k_measurements) + 0.5j)
+        unread = g.copy()
+        bins = np.arange(n)
+        # a term's run wraps from p[N - 1] to p[0] at its own bin, so these wrap
+        # inside a chunk, at a chunk's first and last bins, and at both ends of g
+        supports = [[], [0], [n - 1, 0, 1], [n // 2, chunk % n, (chunk - 1) % n, n - 2],
+                    rng.choice(n, size=11, replace=False).tolist()]
+        for support in supports:
+            terms = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+            total = g.copy()
+            for b, c in zip(support, terms):
+                total -= p[(b - bins) % n] * c
+            magnitude = np.abs(total)
+            magnitude[support] = -1.0
+            assert omp._strongest_bin(g, p, support, terms) == int(np.argmax(magnitude))
+            magnitude = np.abs(g)
+            magnitude[support] = -1.0  # no terms: g is read as is, and p not at all
+            assert omp._strongest_bin(g, None, support, ()) == int(np.argmax(magnitude))
+        assert np.array_equal(g, unread)
+
     def test_ties_across_chunks_go_to_the_lowest_bin(self, monkeypatch):
         monkeypatch.setattr(omp, "_PSF_CHUNK", 4)
         p = np.zeros(10, dtype=complex)
-        p[0], p[2] = 1.0, -2.0
+        p[0], p[2], p[8] = 1.0, -2.0, -2.0  # Hermitian, as every operator's p is
         g = np.zeros(10, dtype=complex)
         g[[4, 5, 9]] = [2.0, 5.0, 2j]
-        # the selected bin 5 adds 2 at bin 3, the last of chunk 0: |corr| = 2
-        # at bins 3, 4 and 9, in chunks 0, 1 and 2, and 4 at bin 5, excluded
-        assert omp._psf_argmax(g, p, [5], np.array([1.0 + 0j])) == 3
-        assert omp._psf_argmax(g, p, [], np.zeros(0, dtype=complex)) == 5
+        # the selected bin 5 adds 2 at bins 3 and 7: |corr| = 2 at bins 3, 4, 7
+        # and 9, in chunks 0, 1, 1 and 2, and 4 at bin 5, excluded
+        assert omp._strongest_bin(g, p, [5], np.array([1.0 + 0j])) == 3
+        assert omp._strongest_bin(g, p, [], ()) == 5
         g[5] = 0.0
-        assert omp._psf_argmax(g, p, [], np.zeros(0, dtype=complex)) == 4
+        assert omp._strongest_bin(g, p, [], ()) == 4
+
+    @pytest.mark.parametrize("n", [512, 2**14 + 3])
+    def test_gram_rows_equal_atom_products(self, n, monkeypatch):
+        """The Gram rows OMP reads from p equal ``selected @ atom.conj()``,
+        <a_i, a_j> from materialized atoms, within 1e-15."""
+        op = self.operator(n)
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def recording(gram):
+            factored.append(np.tril(gram))  # the upper half is never written
+            return cholesky(gram)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        (result,) = omp_recover_batch(op, self.batch(op)[3:4], self.MAX_ITERS)
+        monkeypatch.undo()
+        assert len(factored) == result.iterations == self.MAX_ITERS
+        selected = op.atoms(result.support).T
+        for i, atom in enumerate(selected):
+            assert_allclose(factored[-1][i, : i + 1], selected[: i + 1] @ atom.conj(),
+                            rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [7, 1001, 10**5, 2**18, 10**6])
+    def test_point_spread_origin_is_exactly_one(self, n):
+        """OMP's Gram diagonal is 1.0, which p[0] = K / K equals exactly."""
+        rng = np.random.default_rng(n)
+        for k in sorted({1, 3, max(1, n // 8), n}):
+            indices = np.sort(rng.choice(n, size=k, replace=False))
+            op = SensingOperator(TimeGrid(t_atom=1e-9, n_points=n), SampleSchedule(indices))
+            assert op.point_spread[0] == 1.0
 
     def test_one_step_pursuit_builds_no_point_spread(self, op):
         class NoPointSpread(SensingOperator):

@@ -479,6 +479,11 @@ def _tiny_operator(indices=(0, 3, 7)):
     return SensingOperator(TimeGrid(t_atom=1e-9, n_points=16), SampleSchedule(np.array(indices)))
 
 
+def _adjoint_into_its_own_input():
+    out = np.ones((1, 16), dtype=complex)
+    return _tiny_operator().adjoint(out[:, 13:], out=out)
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -489,9 +494,10 @@ def _tiny_operator(indices=(0, 3, 7)):
         (lambda: SparseSpectrum(np.array([], dtype=int), np.array([])), "no entries"),
         (lambda: SparseSpectrum(np.array([2, 9]), np.ones(2)).to_dense(9), "exceed"),
         (lambda: empirical_rip(_tiny_operator(), 2, trials=0, seed=0), "trial"),
+        (_adjoint_into_its_own_input, "overlap"),
     ],
     ids=["index-past-grid", "index-negative", "gram-empty", "gram-repeated", "spectrum-empty",
-         "dense-too-short", "rip-no-trials"],
+         "dense-too-short", "rip-no-trials", "adjoint-out-overlaps-y"],
 )
 def test_refuses_invalid_input(call, message):
     with pytest.raises(ValueError, match=message):
