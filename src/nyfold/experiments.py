@@ -392,11 +392,15 @@ def _mod_constant(config, seed: int):
     records = [
         {"k": i + 1, "c_k": float(c)} for i, c in enumerate(constant.per_k)
     ]
+    # the exact pairwise constant max |p[d]|, beside its bound C sqrt(f_res / f_dev)
+    coherence, offset = SensingOperator(grid, compute_sample_schedule(clock, grid)).coherence()
     notes = {
         "c_value": repr(constant.c_value),
         "f_res_hz": repr(grid.f_res),
         "f_dev_hz": repr(clock.f_dev),
         "delta2_bound": repr(delta2),
+        "coherence": repr(coherence),
+        "coherence_offset_bins": str(offset),
         f"delta{s_bound}_bound": repr(s_bound * delta2),  # delta_s <= s delta_2
         "guaranteed_sparsity_convex": str(guaranteed_sparsity_convex(delta2)),
         "band_definition": "contiguous bins swept by the instantaneous frequency "
@@ -641,6 +645,9 @@ def _deviation_sweep(config, seed: int):
         notes[f"{label}_intercept"] = repr(intercept)
         notes[f"{label}_r_squared"] = repr(r2)
         notes[f"{label}_k_samples"] = str(schedule.size)
+        coherence, offset = op.coherence()
+        notes[f"{label}_coherence"] = repr(coherence)
+        notes[f"{label}_coherence_offset_bins"] = str(offset)
     return records, notes
 
 

@@ -8,31 +8,42 @@ support's Hermitian Gram system: ``numpy.linalg.cholesky`` factors it as
 coefficients. There is no regularization; a singular Gram raises rather than
 being silently regularized.
 
-``Phi* Phi`` is circulant, so the Gram system and the early correlations
-both read the operator's point-spread function ``p`` (Batch-OMP's ``alpha =
-alpha0 - G_I gamma_I``; Rubinstein, Zibulevsky and Elad, Technion
-CS-2008-08). Gram entry ``(i, j)`` is ``p[(b_j - b_i) mod N]``, as in
-``SensingOperator.gram_matrix``, on a diagonal of 1.0. With ``g = Phi* y``,
-the residual's correlation is ``g[n] - sum_j c_j p[(b_j - n) mod N]`` while
-the support holds fewer than ``_PSF_ATOMS`` atoms, and one adjoint FFT of the
-explicit residual from then on; the two differ in their last bits, and on
-every row tested they picked the same bins. One helper, ``_strongest_bin``,
-picks every bin. A one-step pursuit (``max_iters = 1``) builds no ``p``.
+``Phi* Phi`` is circulant, so the Gram system reads the operator's
+point-spread function ``p``: entry ``(i, j)`` is ``p[(b_j - b_i) mod N]``, as
+in ``SensingOperator.gram_matrix``, on a diagonal of 1.0. So do the
+correlations (Batch-OMP's ``alpha = alpha0 - G_I gamma_I``; Rubinstein,
+Zibulevsky and Elad, Technion CS-2008-08): a correlation ``alpha'`` taken at
+coefficients ``c'`` becomes ``alpha[n] = alpha'[n] - sum_j (c_j - c'_j)
+p[(b_j - n) mod N]`` at coefficients ``c``.
 
-Pursuit runs in lockstep over a batch of measurement rows: the first
-iteration, and every iteration from ``_PSF_ATOMS`` atoms on, hands the
-``(B, K)`` residuals of all still-active rows to one adjoint call, which
-transforms them one row at a time. Every row keeps its own support, Gram,
-Cholesky factor and residual log, and its selected atoms as contiguous
-length-K rows. A row leaves the active set once its residual norm drops to
-``_RESIDUAL_TOL`` times its measurement norm (all-zero rows never enter it).
-Rows are processed in blocks of ``min(3, _BATCH_POINTS // N)`` rows, at
-least one. Each ``omp_recover_batch`` call allocates one ``(rows per block,
-N)`` complex workspace; every adjoint writes into its leading rows through
-``adjoint(out=...)``, and a row keeps g there while it reads ``p``. Each
-result is bitwise equal to pursuing its row alone; ``omp_recover`` is the
-batch-of-1 case. ``pursue_trials`` builds a Monte Carlo batch in the sample
-domain and pursues it.
+Each row keeps a reference correlation ``alpha'`` in its workspace row (first
+``g = Phi* y``, later one adjoint of its explicit residual), the coefficients
+it was taken at, and the short list of bins where ``|alpha'|`` reaches
+``tau``, ``_LIST_FRACTION`` of its largest magnitude. An iteration evaluates
+``alpha`` on the listed bins only. With the coherence ``mu = max over d != 0
+of |p[d]|``, any other bin outside the support has ``|alpha| < tau + mu
+sum_j |c_j - c'_j|`` (Tropp, "Greed is good", IEEE Trans. Inf. Theory 50(10),
+2004, bounds one correlation's move the same way). So when the best listed
+magnitude clears that bound by more than a rounding margin, it is the argmax
+over all N bins. Otherwise the screen fails and the row refreshes: one
+adjoint of its explicit residual into its own workspace row, whose argmax is
+taken and whose list is rebuilt when next needed. Screened and refreshed
+correlations differ in their last bits, and on every row tested they picked
+the bins that a full adjoint per iteration picks. A one-step pursuit
+(``max_iters = 1``) screens nothing, and builds no ``p`` and no ``mu``.
+
+Pursuit runs in lockstep over a batch of measurement rows. The first
+iteration hands the ``(B, K)`` measurements of all active rows to one adjoint
+call, which transforms them one row at a time. Every row keeps its own
+support, Gram, Cholesky factor and residual log, and its selected atoms as
+contiguous length-K rows. A row leaves the active set once its residual norm
+drops to ``_RESIDUAL_TOL`` times its measurement norm (all-zero rows never
+enter it). Rows are processed in blocks of ``min(3, _BATCH_POINTS // N)``
+rows, at least one. Each ``omp_recover_batch`` call allocates one ``(rows per
+block, N)`` complex workspace, and every adjoint writes into it through
+``adjoint(out=...)``. Each result is bitwise equal to pursuing its row alone;
+``omp_recover`` is the batch-of-1 case. ``pursue_trials`` builds a Monte Carlo
+batch in the sample domain and pursues it.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sensing import SensingOperator
+from .sensing import _PSF_CHUNK, SensingOperator
 from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 
 # cap on N * rows per lockstep block, which also holds at most three rows: 3 at
@@ -58,15 +69,14 @@ from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 # 63.3 MB in 3-row blocks without p. 3-row blocks with p ran 2.12-2.24 s, 2-row
 # ones 2.31-2.33 s.
 _BATCH_POINTS = 2**19
-# a row reads its correlation from the point-spread function while its support
-# holds fewer atoms than this, and from one adjoint FFT from then on. At
-# N = 2^18 one FFT correlation took 8-9.5 ms and a point-spread one 1.3-1.6 ms
-# at 1 atom, 5-7.5 ms at 12 and 7.6-11 ms at 16; on the recovery benchmark 12
-# and 16 ran alike.
-_PSF_ATOMS = 12
-# bins per chunk of a correlation's sum, magnitude and argmax, so that they
-# stay in cache; 8192 and 16384 ran alike on the recovery benchmark
-_PSF_CHUNK = 8192
+# a row lists the bins where its reference correlation reaches this fraction
+# of its largest magnitude; later iterations evaluate only those. A higher
+# fraction fails the screen sooner, a lower one lists more bins. In-process OMP
+# on the recovery benchmark's inputs (2-core VM, one BLAS thread) took
+# 0.62-0.69 s with 62 adjoint rows at 1/4, against 0.84-0.99 s (89 rows) at
+# 1/2, 1.04-1.16 s (95) at 1/10 and 2.7-3.0 s (367) at 1/20, where most lists
+# outgrow one chunk; the parent's PSF-sum-then-FFT pursuit took 1.9-2.0 s.
+_LIST_FRACTION = 0.25
 # a row stops once its residual norm drops to this fraction of its measurement norm
 _RESIDUAL_TOL = 1e-12
 
@@ -118,10 +128,11 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
     Ties in the correlation magnitude resolve to the lowest bin, which makes
     the selection order deterministic. Rows run in blocks of at most three
     (see ``_BATCH_POINTS``), and every result is bitwise equal to running its
-    row alone. A block takes one adjoint at its first iteration and one per
-    iteration from ``_PSF_ATOMS`` atoms on; in between, correlations are read
-    from ``op.point_spread``, which is built before the first block when
-    ``max_iters > 1`` and also gives every Gram entry.
+    row alone. A block takes one adjoint at its first iteration; later, a row
+    takes one only when the coherence screen cannot show that a listed bin is
+    the strongest (see the module docstring). ``op.point_spread``, which also
+    gives every Gram entry, and ``op.coherence()`` are built before the first
+    block when ``max_iters > 1``.
 
     Raises
     ------
@@ -139,15 +150,15 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
     if not finite.all():
         raise ValueError(f"measurement row {int(np.argmin(finite))} is not finite")
 
-    # a one-step pursuit reads no point-spread function, so it builds none;
-    # otherwise p is built here, before the workspace is allocated
-    p = op.point_spread if max_iters > 1 else None
+    # a one-step pursuit screens nothing, so it builds no point-spread function
+    # and no coherence; otherwise both are built here, before the workspace
+    psf = (op.point_spread, op.coherence()[0]) if max_iters > 1 else None
     block = min(3, max(1, _BATCH_POINTS // op.n_bins))
     # one adjoint workspace for every block; each writes into its leading rows
     work = np.empty((min(block, len(Y)), op.n_bins), dtype=complex)
     results: list[RecoveryResult] = []
     for start in range(0, len(Y), block):
-        results.extend(_omp_block(op, Y[start : start + block], max_iters, p, work))
+        results.extend(_omp_block(op, Y[start : start + block], max_iters, psf, work))
     return results
 
 
@@ -172,9 +183,19 @@ def pursue_trials(
 
 
 def _omp_block(
-    op: SensingOperator, Y: np.ndarray, max_iters: int, p: Optional[np.ndarray], work: np.ndarray
+    op: SensingOperator,
+    Y: np.ndarray,
+    max_iters: int,
+    psf: Optional[tuple[np.ndarray, float]],
+    work: np.ndarray,
 ) -> list[RecoveryResult]:
-    """The OMP iteration for one block of rows, its adjoints written into ``work``."""
+    """The OMP iteration for one block of rows, its adjoints written into ``work``.
+
+    ``psf`` is ``(p, mu)``, the point-spread function and the coherence, or
+    None for a one-step pursuit. At the first iteration the active rows take
+    one adjoint call, row j of it in ``work[j]``; later, row r refreshes its
+    reference correlation in that same workspace row whenever its screen fails.
+    """
     b, k = Y.shape
     y_norms = [float(np.linalg.norm(y)) for y in Y]
     selected = np.empty((b, max_iters, k), dtype=complex)  # one contiguous atom per row
@@ -185,23 +206,40 @@ def _omp_block(
     coefficients = [np.zeros(0, dtype=complex) for _ in range(b)]
     residuals = Y.copy()
     active = [r for r in range(b) if y_norms[r] != 0.0]
+    # per row: its workspace row, the coefficients its reference correlation
+    # was taken at, that correlation's largest magnitude outside the support,
+    # and its listed bins with their reference values (None until listed)
+    slot = {r: j for j, r in enumerate(active)}
+    reference: dict[int, np.ndarray] = {}
+    peak: dict[int, float] = {}
+    listing: dict[int, Optional[tuple[np.ndarray, np.ndarray]]] = {}
+    if active:
+        op.adjoint(residuals[active], out=work[: len(active)])
 
     for i in range(max_iters):  # every active row holds i atoms
         if not active:
             break
-        if i == 0 or i >= _PSF_ATOMS:
-            adjoints = op.adjoint(residuals[active], out=work[: len(active)])
-            correlations = dict(zip(active, adjoints))
         still_active = []
         for r in active:
             support = supports[r]
-            # before _PSF_ATOMS atoms correlations[r] is g, and the coefficients
-            # turn it into the residual's correlation; an adjoint's is read as is
-            terms = coefficients[r] if i < _PSF_ATOMS else ()
-            bin_j = _strongest_bin(correlations[r], p, support, terms)
+            bin_j = None
+            if i:  # screen the listed bins; psf is set, as max_iters > 1
+                if listing[r] is None:
+                    listing[r] = _listed(work[slot[r]], support, _LIST_FRACTION * peak[r])
+                bins, values = listing[r]
+                top = _screen(psf, support, coefficients[r], reference[r],
+                              _LIST_FRACTION * peak[r], bins, values)
+                if top is None:  # refresh: one adjoint of the explicit residual
+                    op.adjoint(residuals[r], out=work[slot[r]])
+                else:  # the picked bin joins the support and leaves the list
+                    bin_j = int(bins[top])
+                    listing[r] = np.delete(bins, top), np.delete(values, top)
+            if bin_j is None:
+                bin_j, peak[r] = _strongest_bin(work[slot[r]], support)
+                reference[r], listing[r] = coefficients[r], None
 
             if i:  # <a_i, a_j> = p[(b_j - b_i) mod N]; a one-step pursuit has no p
-                gram[r, i, :i] = p[(np.asarray(support) - bin_j) % op.n_bins]
+                gram[r, i, :i] = psf[0][(np.asarray(support) - bin_j) % op.n_bins]
             gram[r, i, i] = 1.0  # unit-norm atoms: p[0] = K / K
             selected[r, i] = op.atoms([bin_j])[:, 0]
             rhs[r, i] = np.vdot(selected[r, i], Y[r])
@@ -224,50 +262,97 @@ def _omp_block(
     return [RecoveryResult(supports[r], coefficients[r], residual_norms[r]) for r in range(b)]
 
 
-def _strongest_bin(
-    correlation: np.ndarray,
-    p: Optional[np.ndarray],
-    support: Sequence[int],
-    terms: Sequence[complex],
-) -> int:
-    """Strongest bin outside ``support`` of ``correlation[n] - sum_j c_j p[(b_j - n) mod N]``.
-
-    ``c_j = terms[j]`` for the first ``len(terms)`` support bins; with no
-    terms, ``correlation`` is read as is and ``p`` not at all. With
-    ``correlation = Phi* y``, the sum is the correlation of the residual ``y -
-    sum_j c_j a_{b_j}``, since ``(Phi* a_b)[n] = p[(b - n) mod N]``. As
-    ``p[N - d] == conj(p[d])`` bitwise, the sum is formed conjugated, each term
-    a forward run of ``p`` scaled by ``conj(c_j)`` (two slices where it wraps),
-    so its magnitudes are bitwise those of the sum itself. Sum, magnitude,
-    exclusion and argmax go one ``_PSF_CHUNK``-bin chunk at a time; a later
-    chunk wins only with a strictly larger magnitude, so ties resolve to the
-    lowest bin, as in ``numpy.argmax``.
-    """
+def _chunk_magnitudes(correlation: np.ndarray, support: Sequence[int]):
+    """Yield ``(lo, |correlation[lo : lo + _PSF_CHUNK]|)`` chunk by chunk, with
+    the support's bins at -1.0, all in one reused chunk-sized buffer."""
     n = len(correlation)
-    total, term = np.empty((2, min(_PSF_CHUNK, n)), dtype=complex)
-    magnitude = np.empty(len(total))
-    best, best_bin = -math.inf, 0
+    magnitude = np.empty(min(_PSF_CHUNK, n))
     for lo in range(0, n, _PSF_CHUNK):
-        values = correlation[lo : lo + _PSF_CHUNK]
-        width = len(values)
-        if len(terms):
-            values = np.conjugate(values, out=total[:width])
-            for b, c in zip(support, terms):
-                start = (lo - b) % n  # p's index at bin lo, one higher at each next bin
-                head = min(n - start, width)
-                runs = [(values[:head], p[start : start + head])]
-                if head < width:  # the run wraps from p[N - 1] to p[0]
-                    runs.append((values[head:], p[: width - head]))
-                for target, run in runs:
-                    target -= np.multiply(run, c.conjugate(), out=term[: len(run)])
-        mag = np.abs(values, out=magnitude[:width])
+        mag = np.abs(correlation[lo : lo + _PSF_CHUNK], out=magnitude[: min(_PSF_CHUNK, n - lo)])
         for b in support:
-            if lo <= b < lo + width:
+            if lo <= b < lo + len(mag):
                 mag[b - lo] = -1.0
+        yield lo, mag
+
+
+def _strongest_bin(correlation: np.ndarray, support: Sequence[int]) -> tuple[int, float]:
+    """The bin outside ``support`` of largest ``|correlation|``, and that magnitude.
+
+    A later chunk wins only with a strictly larger magnitude, so ties resolve
+    to the lowest bin, as in ``numpy.argmax``.
+    """
+    best, best_bin = -math.inf, 0
+    for lo, mag in _chunk_magnitudes(correlation, support):
         top = int(np.argmax(mag))
         if mag[top] > best:
-            best, best_bin = mag[top], lo + top
-    return best_bin
+            best, best_bin = float(mag[top]), lo + top
+    return best_bin, best
+
+
+def _listed(
+    correlation: np.ndarray, support: Sequence[int], tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending bins outside ``support`` where ``|correlation| >= tau``, and their values.
+
+    Lists nothing when ``tau`` is not positive or more than ``_PSF_CHUNK`` bins
+    qualify, as on a noise-only row, whose magnitudes are flat: a row with no
+    list refreshes at its next screen. The scan stops once the list outgrows
+    one chunk, so no temporary holds more than a chunk.
+    """
+    found, count = [], 0
+    if tau > 0.0:
+        for lo, mag in _chunk_magnitudes(correlation, support):
+            hits = np.flatnonzero(mag >= tau)
+            count += len(hits)
+            if count > _PSF_CHUNK:
+                found = []
+                break
+            found.append(hits + lo)
+    bins = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+    return bins, correlation[bins]
+
+
+def _screen(
+    psf: tuple[np.ndarray, float],
+    support: Sequence[int],
+    coefficients: np.ndarray,
+    reference: np.ndarray,
+    tau: float,
+    bins: np.ndarray,
+    values: np.ndarray,
+) -> Optional[int]:
+    """The list position of the strongest bin outside ``support``, if a listed
+    bin provably holds it, else None.
+
+    ``bins`` are the ascending bins where the reference correlation ``alpha'``,
+    taken at ``reference`` (the first ``len(reference)`` coefficients; 0 for
+    the rest), reached ``tau``, and ``values`` is ``alpha'`` there. With ``dc =
+    coefficients - reference``, the current correlation is ``alpha[n] =
+    alpha'[n] - sum_j dc_j p[(b_j - n) mod N]``, since ``(Phi* a_b)[n] = p[(b - n) mod N]``. It
+    is evaluated on the listed bins only, in groups of atoms whose gathers of
+    p hold at most one chunk. Any other bin outside the support has ``|alpha|
+    < tau + mu sum_j |dc_j|``, as ``|p[d]| <= mu`` for ``d != 0``. So the
+    listed maximum is the maximum over all N bins when it exceeds that bound
+    by more than the rounding of the i + 1 terms behind each listed value,
+    ``4 (i + 2) eps`` of their magnitudes; ties resolve to the lowest bin.
+    """
+    p, mu = psf
+    if not len(bins):
+        return None
+    delta = coefficients.copy()
+    delta[: len(reference)] -= reference
+    atoms = np.asarray(support)
+    current = values.copy()
+    group = max(1, _PSF_CHUNK // len(bins))
+    for lo in range(0, len(atoms), group):
+        # b_j - n lies in (-N, N), and p[d - N] == p[d]
+        current -= delta[lo : lo + group] @ p[atoms[lo : lo + group, np.newaxis] - bins]
+    magnitude = np.abs(current)
+    top = int(np.argmax(magnitude))
+    shift = float(np.abs(delta).sum())
+    # tau / _LIST_FRACTION, the reference's peak, bounds every listed |alpha'|
+    rounding = 4 * (len(atoms) + 2) * np.finfo(float).eps * (tau / _LIST_FRACTION + shift)
+    return None if magnitude[top] <= tau + mu * shift + rounding else top
 
 
 def score_recovery(

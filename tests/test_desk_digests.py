@@ -7,6 +7,7 @@ the quickest one that runs OMP (zone-id).
 """
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -66,3 +67,36 @@ def test_zone_id_preset_matches_its_digests(tmp_path):
     tool = load_tool()
     digests, *_ = tool.run_preset("zone-id", tmp_path / "zone-id")
     assert tool.compare("zone-id", tool.load_digests()["zone-id"], digests)
+
+
+def test_named_presets_run_alone_and_write_only_their_entries(tmp_path, monkeypatch):
+    """Names pick presets (run in the file's order), --write with names replaces
+    only their entries, and an unknown name exits 2 before anything runs."""
+    tool = load_tool()
+    committed = tool.load_digests()
+    digest_file = tmp_path / "desk_digests.json"
+    digest_file.write_text(json.dumps(committed, indent=1) + "\n", encoding="utf-8")
+    monkeypatch.setattr(tool, "DIGESTS", digest_file)
+    ran = []
+
+    def moved_outputs(experiment, out_dir):
+        ran.append(experiment)
+        files = {name: tool.file_digest([experiment, "moved"]) for name in committed[experiment]}
+        return files, 1.0, 50.0, 1000
+
+    monkeypatch.setattr(tool, "run_preset", moved_outputs)
+    assert tool.main(["zone-id", "mod-constant"]) == 1  # compared, and mismatched
+    assert ran == ["mod-constant", "zone-id"]
+    ran.clear()
+    assert tool.main(["--write", "mod-constant"]) == 0
+    assert ran == ["mod-constant"]
+    written = json.loads(digest_file.read_text(encoding="utf-8"))
+    assert list(written) == list(committed)
+    assert written["mod-constant"] != committed["mod-constant"]
+    assert {name: files for name, files in written.items() if name != "mod-constant"} == {
+        name: files for name, files in committed.items() if name != "mod-constant"}
+    ran.clear()
+    with pytest.raises(SystemExit) as excinfo:
+        tool.main(["zone-id", "no-such-preset"])
+    assert excinfo.value.code == 2 and ran == []
+    assert tool.main([]) == 1 and tuple(ran) == EXPERIMENTS

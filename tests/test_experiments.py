@@ -343,8 +343,8 @@ class TestSpectrumRunner:
         assert len(manifest.records) == 164
 
 
-# OMP reads its early correlations from p, built once for the sweep's one
-# operator; zone-id's one-step pursuit has nothing to update and builds none
+# OMP screens its correlations and reads its Gram entries from p, built once for
+# the sweep's one operator; zone-id's one-step pursuit screens nothing and builds none
 POINT_SPREAD_BUILDS = {"recovery-sweep": 1, "zone-id": 0}
 
 
@@ -366,6 +366,29 @@ def test_benchmarked_runs_compute_no_point_spread(experiment, tmp_path, monkeypa
     argv = [experiment, "--config", str(ini), "--seed", "11", "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 0
     assert len(built) == POINT_SPREAD_BUILDS[experiment]
+
+
+@pytest.mark.parametrize("experiment", ["mod-constant", "deviation-sweep"])
+def test_notes_report_coherence_and_its_offset(experiment):
+    """mod-constant reports mu beside its bound C sqrt(f_res / f_dev), and the
+    deviation sweep per modulation depth; results.csv carries neither."""
+    config = resolve_config(experiment, "desk", TINY_OVERRIDES[experiment])
+    manifest = RUNNERS[experiment](config, seed=11, scale="desk")
+    grid = _build_grid(config)
+    if experiment == "mod-constant":
+        clocks = {"": _build_clock(config)}
+    else:
+        clocks = {f"f_dev_{f_dev:g}_": _build_clock(config, f_dev_override=f_dev)
+                  for f_dev in _value(config, "sweep", "f_dev_hz")}
+    for prefix, clock in clocks.items():
+        op = SensingOperator(grid, signal_clock.compute_sample_schedule(clock, grid))
+        mu, offset = op.coherence()
+        assert manifest.notes[f"{prefix}coherence"] == repr(mu)
+        assert manifest.notes[f"{prefix}coherence_offset_bins"] == str(offset)
+        assert 0.0 < mu <= 1.0 and 1 <= offset <= grid.n_points // 2
+    if experiment == "mod-constant":  # the desk grid's mu exceeds its bound
+        assert mu > float(manifest.notes["delta2_bound"])
+    assert not any("coherence" in column for column in manifest.records[0])
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """Tests for greedy recovery and the noisy detection bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -161,6 +162,9 @@ class TestOmpRecover:
             _column = np.ones(4, dtype=complex) / 2.0
             point_spread = np.ones(2, dtype=complex)
 
+            def coherence(self):
+                return 1.0, 1
+
             def atoms(self, bins):
                 return np.stack([self._column] * len(np.atleast_1d(bins)), axis=1)
 
@@ -189,6 +193,36 @@ def assert_same_result(got, want):
     assert got.coefficients.tobytes() == want.coefficients.tobytes()
     assert got.iterations == want.iterations
     assert got.residual_norms == want.residual_norms
+
+
+def reference_omp(op, y, max_iters):
+    """OMP that takes a full adjoint of the explicit residual at every iteration
+    and picks ``np.argmax`` of ``np.abs`` outside the support. Its least squares
+    repeat nyfold.omp's arithmetic (Gram rows from p, Cholesky, two solves), so
+    its coefficients and residual norms compare bitwise."""
+    y = np.asarray(y, dtype=complex)
+    y_norm = float(np.linalg.norm(y))
+    selected = np.empty((max_iters, len(y)), dtype=complex)
+    gram = np.empty((max_iters, max_iters), dtype=complex)
+    rhs = np.empty(max_iters, dtype=complex)
+    support, norms, coefficients, residual = [], [], np.zeros(0, dtype=complex), y
+    for i in range(max_iters if y_norm else 0):
+        magnitude = np.abs(op.adjoint(residual))
+        magnitude[support] = -1.0
+        bin_j = int(np.argmax(magnitude))
+        if i:
+            gram[i, :i] = op.point_spread[(np.asarray(support) - bin_j) % op.n_bins]
+        gram[i, i] = 1.0
+        selected[i] = op.atoms([bin_j])[:, 0]
+        rhs[i] = np.vdot(selected[i], y)
+        support.append(bin_j)
+        factor = np.linalg.cholesky(gram[: i + 1, : i + 1])
+        coefficients = np.linalg.solve(factor.conj().T, np.linalg.solve(factor, rhs[: i + 1]))
+        residual = y - coefficients @ selected[: i + 1]
+        norms.append(float(np.linalg.norm(residual)))
+        if norms[-1] <= omp._RESIDUAL_TOL * y_norm:
+            break
+    return RecoveryResult(support, coefficients, norms)
 
 
 class CountingOp(SensingOperator):
@@ -280,41 +314,55 @@ class TestOmpRecoverBatch:
         for got, expected in zip(results, want):
             assert_same_result(got, expected)
 
-    def test_one_adjoint_per_iteration_over_active_rows(self, op, batch, monkeypatch):
-        """With no point-spread updates, every iteration takes one adjoint."""
-        monkeypatch.setattr(omp, "_PSF_ATOMS", 0)
+    def test_one_adjoint_per_iteration_over_active_rows(self, op, batch):
+        """The first iteration takes one adjoint over a block's active rows; after
+        it, a row takes at most one adjoint per iteration, of its own residual
+        alone, into its own row of the one workspace."""
         counting = CountingOp(op)
-        omp_recover_batch(counting, batch, self.MAX_ITERS)
+        results = omp_recover_batch(counting, batch, self.MAX_ITERS)
         k = op.k_measurements
         # blocks of three rows: in the first, the zero row never enters and the
         # one-tone row leaves after iteration 1; the noise row is the second
-        first = [(2, k)] + [(1, k)] * (self.MAX_ITERS - 1)
-        assert counting.adjoint_shapes == first + [(1, k)] * self.MAX_ITERS
+        firsts = [i for i, shape in enumerate(counting.adjoint_shapes) if len(shape) == 2]
+        assert [counting.adjoint_shapes[i] for i in firsts] == [(2, k), (1, k)]
+        refreshes = [i for i in range(len(counting.adjoint_shapes)) if i not in firsts]
+        assert all(counting.adjoint_shapes[i] == (k,) for i in refreshes)
+        assert all(counting.outs[i].shape == (op.n_bins,) for i in refreshes)
+        assert len(refreshes) <= sum(r.iterations - 1 for r in results if r.iterations)
         counting.assert_one_workspace()
 
-    @pytest.mark.parametrize("psf_atoms", [1, 2, 4, omp._PSF_ATOMS])
-    def test_adjoint_at_first_iteration_and_from_psf_atoms_on(
-        self, op, batch, monkeypatch, psf_atoms
+    @pytest.mark.parametrize("max_iters", [1, 2, 4, 12])
+    def test_adjoint_at_first_iteration_and_on_failed_screens(
+        self, op, batch, monkeypatch, max_iters
     ):
-        """Iterations 2 .. _PSF_ATOMS read p; the first and later ones take an adjoint."""
-        monkeypatch.setattr(omp, "_PSF_ATOMS", psf_atoms)
+        """Past the first iteration every row-iteration screens its listed bins and
+        takes an adjoint exactly when the screen fails; a one-step pursuit
+        screens nothing."""
+        verdicts = []
+        screen = omp._screen
+
+        def recording(*args):
+            verdicts.append(screen(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(omp, "_screen", recording)
         counting = CountingOp(op)
-        omp_recover_batch(counting, batch, self.MAX_ITERS)
+        results = omp_recover_batch(counting, batch, max_iters)
         k = op.k_measurements
-        later = max(0, self.MAX_ITERS - psf_atoms)  # adjoints after the first, per block
-        # the one-tone row leaves the first block after iteration 1, so its
-        # later adjoints hold one row, as do all of the second block's
-        first = [(2, k)] + [(1, k)] * later
-        assert counting.adjoint_shapes == first + [(1, k)] * (1 + later)
+        assert counting.adjoint_shapes[0] == (2, k)
+        assert len(counting.adjoint_shapes) == 2 + verdicts.count(None)
+        assert len(verdicts) == sum(max(0, r.iterations - 1) for r in results)
+        if max_iters >= 4:  # the noisy three-tone row finds its later tones screened
+            assert any(verdict is not None for verdict in verdicts)
         counting.assert_one_workspace()
 
     def test_blocks_bound_rows_per_adjoint(self, op, batch, monkeypatch):
         monkeypatch.setattr(omp, "_BATCH_POINTS", 2 * op.n_bins)
         counting = CountingOp(op)
         omp_recover_batch(counting, batch, 2)
-        assert max(shape[0] for shape in counting.adjoint_shapes) == 2
-        # two blocks, one adjoint each: the second iteration reads p
-        assert len(counting.adjoint_shapes) == 2
+        # two blocks of two rows, one first-iteration adjoint each (the zero row
+        # never enters the first); a refresh holds one row
+        assert [shape[0] for shape in counting.adjoint_shapes if len(shape) == 2] == [1, 2]
         counting.assert_one_workspace()
 
     def test_non_finite_row_named(self, op, batch):
@@ -335,9 +383,9 @@ class TestOmpRecoverBatch:
 
 
 class TestPointSpreadCorrelations:
-    """Correlations read from p select the bins the adjoint FFT selects."""
+    """Correlations screened through p select the bins a full adjoint selects."""
 
-    MAX_ITERS = 16  # past _PSF_ATOMS, so rows also switch to the FFT
+    MAX_ITERS = 16  # rows screen, refresh, and run out of tones
 
     @staticmethod
     def operator(n):
@@ -359,58 +407,80 @@ class TestPointSpreadCorrelations:
     @pytest.mark.parametrize("n", [512, 1001, 2**14 + 3])
     @pytest.mark.parametrize("chunk", [64, 100, omp._PSF_CHUNK])
     def test_equal_to_fft_path_bitwise(self, n, chunk, monkeypatch):
+        """The screened pursuit equals reference_omp, which takes a full adjoint
+        FFT at every iteration: supports, coefficient bytes and residual logs."""
         op = self.operator(n)
         batch = self.batch(op)
         monkeypatch.setattr(omp, "_PSF_CHUNK", chunk)
         got = omp_recover_batch(op, batch, self.MAX_ITERS)
-        monkeypatch.setattr(omp, "_PSF_ATOMS", 0)  # every iteration takes the adjoint
-        want = omp_recover_batch(op, batch, self.MAX_ITERS)
-        for g, w in zip(got, want):
-            assert_same_result(g, w)
+        for g, y in zip(got, batch):
+            assert_same_result(g, reference_omp(op, y, self.MAX_ITERS))
         assert {0, n - 1} <= set(got[0].support)
         assert [r.iterations for r in got] == [self.MAX_ITERS, 3, 0, self.MAX_ITERS, 2]
+
+    def test_equal_to_fft_path_at_0_db_up_to_40_tones(self):
+        """A seeded 0 dB batch of 1 to 40 tones, pursued for 40 iterations, equals
+        reference_omp bitwise, with fewer adjoint rows than row-iterations."""
+        op = self.operator(2**14 + 3)
+        rng = np.random.default_rng(40)
+        rows = []
+        for s in (1, 5, 10, 20, 30, 40):
+            bins = np.sort(rng.choice(op.n_bins, size=s, replace=False))
+            coeff = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+            rows.append(add_noise(op.forward(SparseSpectrum(bins, coeff)), 0.0,
+                                  seed=int(rng.integers(2**63))))
+        counting = CountingOp(op)
+        got = omp_recover_batch(counting, np.stack(rows), 40)
+        for g, y in zip(got, rows):
+            assert_same_result(g, reference_omp(op, y, 40))
+        adjoint_rows = sum(shape[0] if len(shape) == 2 else 1 for shape in counting.adjoint_shapes)
+        assert adjoint_rows < sum(r.iterations for r in got) == 6 * 40
 
     @pytest.mark.parametrize("n", [512, 1001, 2**14 + 3])
     @pytest.mark.parametrize("chunk", [64, 100, omp._PSF_CHUNK])
     def test_strongest_bin_equals_brute_force(self, n, chunk, monkeypatch):
-        """The chunked, conjugated sum picks the bin that |g - sum_j c_j p[(b_j - n)
-        mod N]| picks when every term is a descending fancy-indexed run of p."""
+        """The chunked scan picks ``np.argmax`` of |alpha| outside the support, and
+        the chunked listing keeps exactly the bins where |alpha| >= tau there, or
+        none once more than one chunk of bins qualifies."""
         monkeypatch.setattr(omp, "_PSF_CHUNK", chunk)
         op = self.operator(n)
-        p = op.point_spread
         rng = np.random.default_rng(n + chunk)
         g = op.adjoint(rng.standard_normal(op.k_measurements) + 0.5j)
         unread = g.copy()
-        bins = np.arange(n)
-        # a term's run wraps from p[N - 1] to p[0] at its own bin, so these wrap
-        # inside a chunk, at a chunk's first and last bins, and at both ends of g
+        # supports at a chunk's first and last bins and at both ends of g
         supports = [[], [0], [n - 1, 0, 1], [n // 2, chunk % n, (chunk - 1) % n, n - 2],
                     rng.choice(n, size=11, replace=False).tolist()]
         for support in supports:
-            terms = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
-            total = g.copy()
-            for b, c in zip(support, terms):
-                total -= p[(b - bins) % n] * c
-            magnitude = np.abs(total)
-            magnitude[support] = -1.0
-            assert omp._strongest_bin(g, p, support, terms) == int(np.argmax(magnitude))
             magnitude = np.abs(g)
-            magnitude[support] = -1.0  # no terms: g is read as is, and p not at all
-            assert omp._strongest_bin(g, None, support, ()) == int(np.argmax(magnitude))
+            magnitude[support] = -1.0
+            assert omp._strongest_bin(g, support) == (int(np.argmax(magnitude)), magnitude.max())
+            for fraction in (0.9, 0.5, omp._LIST_FRACTION, 0.05):
+                want = np.flatnonzero(magnitude >= fraction * magnitude.max())
+                bins, values = omp._listed(g, support, fraction * magnitude.max())
+                if len(want) > chunk:
+                    assert len(bins) == len(values) == 0
+                else:
+                    assert bins.tolist() == want.tolist()
+                    assert values.tobytes() == g[want].tobytes()
         assert np.array_equal(g, unread)
 
     def test_ties_across_chunks_go_to_the_lowest_bin(self, monkeypatch):
+        """The scan and the screen both resolve ties to the lowest bin."""
         monkeypatch.setattr(omp, "_PSF_CHUNK", 4)
-        p = np.zeros(10, dtype=complex)
-        p[0], p[2], p[8] = 1.0, -2.0, -2.0  # Hermitian, as every operator's p is
-        g = np.zeros(10, dtype=complex)
-        g[[4, 5, 9]] = [2.0, 5.0, 2j]
-        # the selected bin 5 adds 2 at bins 3 and 7: |corr| = 2 at bins 3, 4, 7
-        # and 9, in chunks 0, 1, 1 and 2, and 4 at bin 5, excluded
-        assert omp._strongest_bin(g, p, [5], np.array([1.0 + 0j])) == 3
-        assert omp._strongest_bin(g, p, [], ()) == 5
-        g[5] = 0.0
-        assert omp._strongest_bin(g, p, [], ()) == 4
+        p = np.zeros(12, dtype=complex)
+        p[0], p[2], p[10] = 1.0, -0.25, -0.25  # Hermitian, as every operator's p is
+        g = np.zeros(12, dtype=complex)
+        g[[3, 4, 5, 7, 9]] = [1.75, 2.0, 8.0, 1.75, 2j]
+        assert omp._strongest_bin(g, []) == (5, 8.0)
+        # without bin 5, |g| = 2 ties at bins 4 and 9, in chunks 1 and 2
+        assert omp._strongest_bin(g, [5]) == (4, 2.0)
+        # bin 5 joins with c = 1: alpha = g - p[(5 - n) mod 12] is 2 at bins 3, 4,
+        # 7 and 9, in chunks 0, 1, 1 and 2, above tau + mu |dc| = 1 + 0.25
+        bins, values = omp._listed(g, [5], 1.0)
+        assert bins.tolist() == [3, 4, 7, 9]
+        top = omp._screen((p, 0.25), [5], np.array([1.0 + 0j]), np.zeros(0, dtype=complex),
+                          1.0, bins, values)
+        assert bins[top] == 3
 
     @pytest.mark.parametrize("n", [512, 2**14 + 3])
     def test_gram_rows_equal_atom_products(self, n, monkeypatch):
@@ -448,8 +518,109 @@ class TestPointSpreadCorrelations:
             def point_spread(self):
                 raise AssertionError("point_spread computed")
 
+            def coherence(self):
+                raise AssertionError("coherence computed")
+
         rows = np.ones((2, op.k_measurements), dtype=complex)
         assert len(omp_recover_batch(NoPointSpread(op.grid, op.schedule), rows, 1)) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([7, 1001, 2**14 + 3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    atoms=st.integers(min_value=1, max_value=8),
+    kept=st.integers(min_value=0, max_value=8),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+)
+@example(n=7, seed=42149, atoms=1, kept=1, scale=1.0)  # every index sampled: six exact ties
+def test_screen_bound_holds_at_every_unlisted_bin(n, seed, atoms, kept, scale):
+    """Outside the support, |alpha_i| <= |alpha'| + mu sum_j |dc_j|, both taken by
+    full adjoints of explicit residuals. So an unlisted bin stays below the
+    screen's bound tau + mu sum_j |dc_j|, and a screen that passes picks the full
+    argmax, up to rounding."""
+    rng = np.random.default_rng(seed)
+    indices = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    op = SensingOperator(TimeGrid(t_atom=1e-9, n_points=n), SampleSchedule(indices))
+    support = rng.choice(n, size=min(atoms, n - 1), replace=False).tolist()
+    chosen = op.atoms(support)
+
+    def gaussian(size):
+        return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+    y = chosen @ gaussian(len(support)) + 0.1 * gaussian(op.k_measurements)
+    coefficients = gaussian(len(support))
+    reference = coefficients[: min(kept, len(support))] + 0.3 * gaussian(min(kept, len(support)))
+    earlier = op.adjoint(y - chosen[:, : len(reference)] @ reference)
+    current = op.adjoint(y - chosen @ coefficients)
+    delta = coefficients.copy()
+    delta[: len(reference)] -= reference
+    mu = op.coherence()[0]
+    shift = mu * float(np.abs(delta).sum())
+    slack = 1e-12 * (np.abs(earlier).max() + np.abs(delta).sum())  # two FFTs' rounding
+    outside = np.ones(n, dtype=bool)
+    outside[support] = False
+    assert np.all(np.abs(current[outside]) <= np.abs(earlier[outside]) + shift + slack)
+
+    tau = omp._LIST_FRACTION * np.abs(earlier[outside]).max()
+    bins, values = omp._listed(earlier, support, tau)
+    if len(bins):  # else the screen refreshes
+        unlisted = outside.copy()
+        unlisted[bins] = False
+        assert np.all(np.abs(current[unlisted]) < tau + shift + slack)
+    top = omp._screen((op.point_spread, mu), support, coefficients, reference, tau, bins, values)
+    if top is not None:  # exact ties, as with every index sampled, may round either way
+        magnitude = np.abs(current)
+        magnitude[support] = -1.0
+        assert magnitude[bins[top]] >= magnitude.max() - slack
+
+
+class TestScreenRefreshes:
+    def test_noise_only_row_lists_nothing_and_refreshes(self):
+        """A noise-only row's |alpha'| is flat: far more than one chunk of bins
+        reach tau, so it lists none and takes an adjoint at every iteration. No
+        temporary of the scan, the listing or the screen holds more than a chunk:
+        their traced peak stays under 8 chunks of complex values, a quarter of one
+        length-N complex row."""
+        n = 2**18
+        rng = np.random.default_rng(n)
+        op = SensingOperator(TimeGrid(t_atom=1e-9, n_points=n),
+                             SampleSchedule(np.sort(rng.choice(n, size=4096, replace=False))))
+        k = op.k_measurements
+        y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        counting = CountingOp(op)
+        (result,) = omp_recover_batch(counting, y[np.newaxis], 4)
+        assert counting.adjoint_shapes == [(1, k)] + [(k,)] * 3
+        g = op.adjoint(y)
+        tau = omp._LIST_FRACTION * np.abs(g).max()
+        assert np.count_nonzero(np.abs(g) >= tau) > n // 8 > omp._PSF_CHUNK
+
+        p, mu = op.point_spread, op.coherence()[0]
+        support = result.support
+        listed = np.arange(0, n, n // omp._PSF_CHUNK)  # one full chunk of bins
+        tracemalloc.start()
+        try:
+            omp._strongest_bin(g, support)
+            bins, values = omp._listed(g, support, tau)
+            omp._screen((p, mu), support, result.coefficients, np.zeros(0, dtype=complex),
+                        tau, listed, g[listed])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bins) == len(values) == 0
+        assert peak < 8 * omp._PSF_CHUNK * 16 <= n * 16 // 4
+
+    def test_zero_peak_lists_nothing_and_refreshes(self):
+        """A reference correlation whose best magnitude is 0 gives tau = 0: it
+        lists no bin, rather than all N, and its screen refreshes."""
+        op = TestPointSpreadCorrelations.operator(1001)
+        zero = np.zeros(op.n_bins, dtype=complex)
+        assert omp._strongest_bin(zero, [3]) == (0, 0.0)
+        bins, values = omp._listed(zero, [3], omp._LIST_FRACTION * 0.0)
+        assert len(bins) == len(values) == 0
+        psf = (op.point_spread, op.coherence()[0])
+        assert omp._screen(psf, [3], np.ones(1, dtype=complex), np.zeros(0, dtype=complex),
+                           0.0, bins, values) is None
 
 
 def dense_reference_omp(dictionary, y, max_iters):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from nyfold import sensing
 from nyfold.rip import estimate_modulation_constant
 from nyfold.sensing import SensingOperator, SparseSpectrum, empirical_rip
 from nyfold.signal_clock import (
@@ -449,6 +450,45 @@ class TestGramAndDeviation:
             coefficients = np.full(n_bins, bad, dtype=complex)
             with pytest.raises(ValueError, match="finite and nonzero"):
                 op.spectral_norm_deviation(SparseSpectrum(np.arange(n_bins), coefficients))
+
+
+class TestCoherence:
+    @pytest.mark.parametrize("n", [2, 7, 1001, 2**14 + 3])
+    @pytest.mark.parametrize("chunk", [3, 64, sensing._PSF_CHUNK])
+    def test_equals_brute_force_max(self, n, chunk, monkeypatch):
+        """mu and its lowest offset equal a brute-force max of |p[d]| over every d != 0,
+        whichever chunks the half-spectrum scan takes."""
+        monkeypatch.setattr(sensing, "_PSF_CHUNK", chunk)
+        rng = np.random.default_rng(n)
+        for k in sorted({1, max(1, n // 8), n - 1, n}):
+            indices = np.sort(rng.choice(n, size=k, replace=False))
+            op = SensingOperator(TimeGrid(t_atom=1e-9, n_points=n), SampleSchedule(indices))
+            magnitude = np.abs(op.point_spread)
+            magnitude[0] = -1.0
+            mu, offset = op.coherence()
+            assert (mu, offset) == (magnitude.max(), int(np.argmax(magnitude)))
+            assert type(mu) is float and type(offset) is int
+            assert op.coherence() is op.coherence()  # taken once, then kept
+
+    @pytest.mark.parametrize("n,s", [(6, 3), (1001, 7), (1024, 8), (10**5, 50), (2**18, 64)])
+    def test_every_s_th_index_gives_exactly_one_at_n_over_s(self, n, s):
+        """A comb of every s-th index aliases bins N/s apart: p[N/s] = 1. At these
+        sizes the FFT of the comb is exact; at others its peaks can round by an
+        ulp (N = 10^6 with s = 500 gives 1.0000000000000002 at 21 N/s)."""
+        op = SensingOperator(TimeGrid(t_atom=1e-9, n_points=n), SampleSchedule(np.arange(0, n, s)))
+        assert op.coherence() == (1.0, n // s)
+
+    def test_criterion_05_grid_peaks_past_its_pairwise_bound(self):
+        """On criterion 05's grid and clock, mu is the worst two-bin deviation,
+        0.0752 at d = 5485, above the bound 0.0733 (see the pairwise test above)."""
+        grid = TimeGrid(1e-10, 2**18)
+        cycles = round(2e8 * grid.duration)
+        clock = ClockConfig(cycles / grid.duration, LinearChirp(1e7, grid.duration))
+        op = SensingOperator(grid, compute_sample_schedule(clock, grid))
+        mu, offset = op.coherence()
+        assert offset == 5485
+        assert mu == pytest.approx(0.075227, abs=5e-7)
+        assert op.gram_eigen_bounds([0, offset])[2] == pytest.approx(mu, rel=1e-13)
 
 
 class TestEmpiricalRip:

@@ -5,6 +5,11 @@ Run from the repository root:
 
     python3 tools/desk_digests.py            # compare against tools/desk_digests.json
     python3 tools/desk_digests.py --write    # record the current outputs' digests
+    python3 tools/desk_digests.py zone-id mod-constant          # only these presets
+    python3 tools/desk_digests.py --write mod-constant          # re-record only this one
+
+Named experiments run and compare alone, and ``--write`` then replaces only
+their entries; an unknown name exits 2.
 
 Each experiment runs as a fresh ``python -m nyfold.cli EXPERIMENT --scale desk
 --seed 0 --plots`` process with ``PYTHONPATH=src``, one at a time, into a
@@ -14,7 +19,7 @@ its SVG plot (``plot_<experiment>.svg``, hyphens as underscores) and its
 row. The script prints each run's wall seconds, peak RSS and minor page
 faults (the child's ``ru_maxrss`` and ``ru_minflt``), then ``match`` or
 ``mismatch`` per file, and on a mismatch the first row whose digest differs.
-Desk ``recovery-sweep`` alone took 649 s on a 2-core VM, and the other five
+Desk ``recovery-sweep`` alone took 265 s on a 2-core VM, and the other five
 about 51 s together. Exit status: 0 all match, 1 any mismatch or failed run.
 """
 
@@ -111,13 +116,19 @@ def load_digests(path: Path = DIGESTS) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
+                        help=f"run only these presets (default: all six): {', '.join(EXPERIMENTS)}")
     parser.add_argument("--write", action="store_true",
                         help="record the current outputs' digests instead of comparing")
     args = parser.parse_args(argv)
-    expected = {} if args.write else load_digests()
-    digests, ok = {}, True
+    unknown = [name for name in args.experiments if name not in EXPERIMENTS]
+    if unknown:  # choices= would also refuse an empty list
+        parser.error(f"unknown experiment {', '.join(unknown)}; choose from {', '.join(EXPERIMENTS)}")
+    chosen = [name for name in EXPERIMENTS if name in args.experiments] or EXPERIMENTS
+    committed = {} if args.write and not args.experiments else load_digests(DIGESTS)
+    recorded, ok = dict(committed), True  # a partial --write keeps the other entries
     with tempfile.TemporaryDirectory() as tmp:
-        for experiment in EXPERIMENTS:
+        for experiment in chosen:
             try:
                 actual, wall_s, peak_rss_mb, minor_faults = run_preset(
                     experiment, Path(tmp) / experiment)
@@ -128,12 +139,12 @@ def main(argv=None) -> int:
             print(f"{experiment}: {wall_s:.1f} s wall, {peak_rss_mb:.1f} MB peak RSS, "
                   f"{minor_faults} minor page faults")
             if args.write:
-                digests[experiment] = actual
+                recorded[experiment] = actual
                 print(f"{experiment}: recorded {', '.join(actual)}")
             else:
-                ok &= compare(experiment, expected.get(experiment, {}), actual)
+                ok &= compare(experiment, committed.get(experiment, {}), actual)
     if args.write and ok:
-        DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+        DIGESTS.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
     return 0 if ok else 1
 
 
