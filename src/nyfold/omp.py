@@ -16,7 +16,7 @@ Zibulevsky and Elad, Technion CS-2008-08): a correlation ``alpha'`` taken at
 coefficients ``c'`` becomes ``alpha[n] = alpha'[n] - sum_j (c_j - c'_j)
 p[(b_j - n) mod N]`` at coefficients ``c``.
 
-Each row keeps a reference correlation ``alpha'`` in its workspace row (first
+Each row keeps a reference correlation ``alpha'`` in the workspace (first
 ``g = Phi* y``, later one adjoint of its explicit residual), the coefficients
 it was taken at, and the short list of bins where ``|alpha'|`` reaches
 ``tau``, ``_LIST_FRACTION`` of its largest magnitude. An iteration evaluates
@@ -26,24 +26,22 @@ sum_j |c_j - c'_j|`` (Tropp, "Greed is good", IEEE Trans. Inf. Theory 50(10),
 2004, bounds one correlation's move the same way). So when the best listed
 magnitude clears that bound by more than a rounding margin, it is the argmax
 over all N bins. Otherwise the screen fails and the row refreshes: one
-adjoint of its explicit residual into its own workspace row, whose argmax is
-taken and whose list is rebuilt when next needed. Screened and refreshed
+adjoint of its explicit residual into the workspace, whose argmax is taken
+and whose list is rebuilt when next needed. Screened and refreshed
 correlations differ in their last bits, and on every row tested they picked
 the bins that a full adjoint per iteration picks. A one-step pursuit
 (``max_iters = 1``) screens nothing, and builds no ``p`` and no ``mu``.
 
-Pursuit runs in lockstep over a batch of measurement rows. The first
-iteration hands the ``(B, K)`` measurements of all active rows to one adjoint
-call, which transforms them one row at a time. Every row keeps its own
-support, Gram, Cholesky factor and residual log, and its selected atoms as
-contiguous length-K rows. A row leaves the active set once its residual norm
-drops to ``_RESIDUAL_TOL`` times its measurement norm (all-zero rows never
-enter it). Rows are processed in blocks of ``min(3, _BATCH_POINTS // N)``
-rows, at least one. Each ``omp_recover_batch`` call allocates one ``(rows per
-block, N)`` complex workspace, and every adjoint writes into it through
-``adjoint(out=...)``. Each result is bitwise equal to pursuing its row alone;
-``omp_recover`` is the batch-of-1 case. ``pursue_trials`` builds a Monte Carlo
-batch in the sample domain and pursues it.
+``omp_recover_batch`` pursues its rows one at a time, each from its own
+measurement row alone, so every result is the one ``omp_recover`` gives for
+that row. A row keeps its support, Gram, Cholesky factor, residual log and
+reference correlation in locals, and its selected atoms as contiguous
+length-K rows. It stops once its residual norm drops to ``_RESIDUAL_TOL``
+times its measurement norm; an all-zero row takes no iteration. Each call
+allocates one complex workspace, and every adjoint of every row writes into
+the workspace's first length-N row through ``adjoint(out=...)``; its size is
+set for glibc's allocator (see ``_BATCH_POINTS``). ``pursue_trials`` builds
+a Monte Carlo batch in the sample domain and pursues it.
 """
 
 from __future__ import annotations
@@ -54,20 +52,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sensing import _PSF_CHUNK, SensingOperator
+from . import sensing
+from .sensing import SensingOperator, _chunk_magnitudes, _strongest_bin
 from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 
-# cap on N * rows per lockstep block, which also holds at most three rows: 3 at
-# N = 10^5, 2 at 2^18, 1 at 10^6. Freeing a call's workspace raises glibc's
-# mmap threshold to its size; while that exceeds one row's FFT scratch, later
-# FFTs reuse heap pages instead of faulting in fresh ones. On zone-id
-# (N = 10^5), 3-row blocks peaked at 48 MB with 33k minor faults, against
-# 64 MB for 10 rows in one FFT call, 54 MB and 140k faults for 4, and 97k
-# faults and 50% more time for 2. At 2^18 the third row's 4.2 MB pays for the
-# point-spread function: the recovery benchmark (2-core VM, one BLAS thread)
-# peaked at 61.6 MB in 2-row blocks with p, 67.1 MB in 3-row blocks with p and
-# 63.3 MB in 3-row blocks without p. 3-row blocks with p ran 2.12-2.24 s, 2-row
-# ones 2.31-2.33 s.
+# sizes each call's workspace at min(3, 2^19 // N) rows of N points, at least
+# one and at most one per measurement row. Only its first row is ever written,
+# so the rest are never resident; but freeing a workspace raises glibc's mmap
+# threshold to its whole size, and while that exceeds one FFT's scratch, later
+# FFTs reuse heap pages instead of faulting in fresh ones. Per CLI process of
+# the recovery benchmark (N = 2^18, two rows; 2-core VM, one BLAS thread), a
+# one-row workspace took 136k minor faults against 42-46k, and 0.18 s longer;
+# on zone-id (N = 10^5, three rows) 199k against 31k, and 0.36 s longer.
 _BATCH_POINTS = 2**19
 # a row lists the bins where its reference correlation reaches this fraction
 # of its largest magnitude; later iterations evaluate only those. A higher
@@ -121,18 +117,16 @@ def omp_recover(op: SensingOperator, y: np.ndarray, max_iters: int) -> RecoveryR
 
 
 def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> list[RecoveryResult]:
-    """Recover one sparse spectrum per row of Y (shape B x K), in lockstep.
+    """Recover one sparse spectrum per row of Y (shape B x K), one row at a time.
 
     Each row stops after ``max_iters`` selections or once its residual norm
     drops to ``_RESIDUAL_TOL * ||y||``; an all-zero row returns an empty result.
     Ties in the correlation magnitude resolve to the lowest bin, which makes
-    the selection order deterministic. Rows run in blocks of at most three
-    (see ``_BATCH_POINTS``), and every result is bitwise equal to running its
-    row alone. A block takes one adjoint at its first iteration; later, a row
-    takes one only when the coherence screen cannot show that a listed bin is
-    the strongest (see the module docstring). ``op.point_spread``, which also
-    gives every Gram entry, and ``op.coherence()`` are built before the first
-    block when ``max_iters > 1``.
+    the selection order deterministic. A row takes one adjoint before its
+    first pick; later, it takes one only when the coherence screen cannot show
+    that a listed bin is the strongest (see the module docstring).
+    ``op.point_spread``, which also gives every Gram entry, and
+    ``op.coherence()`` are built before the first row when ``max_iters > 1``.
 
     Raises
     ------
@@ -153,13 +147,9 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
     # a one-step pursuit screens nothing, so it builds no point-spread function
     # and no coherence; otherwise both are built here, before the workspace
     psf = (op.point_spread, op.coherence()[0]) if max_iters > 1 else None
-    block = min(3, max(1, _BATCH_POINTS // op.n_bins))
-    # one adjoint workspace for every block; each writes into its leading rows
-    work = np.empty((min(block, len(Y)), op.n_bins), dtype=complex)
-    results: list[RecoveryResult] = []
-    for start in range(0, len(Y), block):
-        results.extend(_omp_block(op, Y[start : start + block], max_iters, psf, work))
-    return results
+    rows = min(3, max(1, _BATCH_POINTS // op.n_bins), len(Y))
+    work = np.empty((rows, op.n_bins), dtype=complex)
+    return [_pursue(op, y, max_iters, psf, work[0]) for y in Y]
 
 
 def pursue_trials(
@@ -173,7 +163,7 @@ def pursue_trials(
     A trial's tones are evaluated only at the K schedule times ``indices *
     t_atom``, never on the N-point grid, and noised there at ``snr_db`` with
     the draw's next ``rng.integers(2**63)`` as seed. All trials then take one
-    lockstep ``omp_recover_batch`` call.
+    ``omp_recover_batch`` call.
     """
     times = op.schedule.indices * op.grid.t_atom
     measurements = np.empty((len(draws), op.k_measurements), dtype=complex)
@@ -182,111 +172,66 @@ def pursue_trials(
     return omp_recover_batch(op, measurements, max_iters)
 
 
-def _omp_block(
+def _pursue(
     op: SensingOperator,
-    Y: np.ndarray,
+    y: np.ndarray,
     max_iters: int,
     psf: Optional[tuple[np.ndarray, float]],
     work: np.ndarray,
-) -> list[RecoveryResult]:
-    """The OMP iteration for one block of rows, its adjoints written into ``work``.
+) -> RecoveryResult:
+    """The OMP iteration for one measurement row, its adjoints written into ``work``.
 
     ``psf`` is ``(p, mu)``, the point-spread function and the coherence, or
-    None for a one-step pursuit. At the first iteration the active rows take
-    one adjoint call, row j of it in ``work[j]``; later, row r refreshes its
-    reference correlation in that same workspace row whenever its screen fails.
+    None for a one-step pursuit. ``work`` holds the reference correlation,
+    taken at the coefficients ``reference``, whose largest magnitude outside
+    the support is ``peak``; ``listing`` holds its listed bins and their
+    reference values, or None until they are listed.
     """
-    b, k = Y.shape
-    y_norms = [float(np.linalg.norm(y)) for y in Y]
-    selected = np.empty((b, max_iters, k), dtype=complex)  # one contiguous atom per row
-    gram = np.empty((b, max_iters, max_iters), dtype=complex)  # cholesky reads only its lower half
-    rhs = np.empty((b, max_iters), dtype=complex)
-    supports: list[list[int]] = [[] for _ in range(b)]
-    residual_norms: list[list[float]] = [[] for _ in range(b)]
-    coefficients = [np.zeros(0, dtype=complex) for _ in range(b)]
-    residuals = Y.copy()
-    active = [r for r in range(b) if y_norms[r] != 0.0]
-    # per row: its workspace row, the coefficients its reference correlation
-    # was taken at, that correlation's largest magnitude outside the support,
-    # and its listed bins with their reference values (None until listed)
-    slot = {r: j for j, r in enumerate(active)}
-    reference: dict[int, np.ndarray] = {}
-    peak: dict[int, float] = {}
-    listing: dict[int, Optional[tuple[np.ndarray, np.ndarray]]] = {}
-    if active:
-        op.adjoint(residuals[active], out=work[: len(active)])
+    y_norm = float(np.linalg.norm(y))
+    support: list[int] = []
+    residual_norms: list[float] = []
+    coefficients = np.zeros(0, dtype=complex)
+    if y_norm == 0.0:
+        return RecoveryResult(support, coefficients, residual_norms)
+    selected = np.empty((max_iters, len(y)), dtype=complex)  # one contiguous atom per row
+    gram = np.empty((max_iters, max_iters), dtype=complex)  # cholesky reads only its lower half
+    rhs = np.empty(max_iters, dtype=complex)
+    op.adjoint(y, out=work)
+    for i in range(max_iters):  # the support holds i atoms
+        bin_j = None
+        if i:  # screen the listed bins; psf is set, as max_iters > 1
+            if listing is None:
+                listing = _listed(work, support, _LIST_FRACTION * peak)
+            bins, values = listing
+            top = _screen(psf, support, coefficients, reference, peak, bins, values)
+            if top is None:  # refresh: one adjoint of the explicit residual
+                op.adjoint(residual, out=work)
+            else:  # the picked bin joins the support and leaves the list
+                bin_j = int(bins[top])
+                listing = np.delete(bins, top), np.delete(values, top)
+        if bin_j is None:
+            bin_j, peak = _strongest_bin(work, support)
+            reference, listing = coefficients, None
 
-    for i in range(max_iters):  # every active row holds i atoms
-        if not active:
+        if i:  # <a_i, a_j> = p[(b_j - b_i) mod N]; a one-step pursuit has no p
+            gram[i, :i] = psf[0][(np.asarray(support) - bin_j) % op.n_bins]
+        gram[i, i] = 1.0  # unit-norm atoms: p[0] = K / K
+        selected[i] = op.atoms([bin_j])[:, 0]
+        rhs[i] = np.vdot(selected[i], y)
+        support.append(bin_j)
+
+        try:
+            factor = np.linalg.cholesky(gram[: i + 1, : i + 1])
+        except np.linalg.LinAlgError as exc:
+            raise GramSingularError(support) from exc
+        half_solved = np.linalg.solve(factor, rhs[: i + 1])
+        coefficients = np.linalg.solve(factor.conj().T, half_solved)
+
+        residual = y - coefficients @ selected[: i + 1]
+        residual_norms.append(float(np.linalg.norm(residual)))
+        if residual_norms[-1] <= _RESIDUAL_TOL * y_norm:
             break
-        still_active = []
-        for r in active:
-            support = supports[r]
-            bin_j = None
-            if i:  # screen the listed bins; psf is set, as max_iters > 1
-                if listing[r] is None:
-                    listing[r] = _listed(work[slot[r]], support, _LIST_FRACTION * peak[r])
-                bins, values = listing[r]
-                top = _screen(psf, support, coefficients[r], reference[r],
-                              _LIST_FRACTION * peak[r], bins, values)
-                if top is None:  # refresh: one adjoint of the explicit residual
-                    op.adjoint(residuals[r], out=work[slot[r]])
-                else:  # the picked bin joins the support and leaves the list
-                    bin_j = int(bins[top])
-                    listing[r] = np.delete(bins, top), np.delete(values, top)
-            if bin_j is None:
-                bin_j, peak[r] = _strongest_bin(work[slot[r]], support)
-                reference[r], listing[r] = coefficients[r], None
-
-            if i:  # <a_i, a_j> = p[(b_j - b_i) mod N]; a one-step pursuit has no p
-                gram[r, i, :i] = psf[0][(np.asarray(support) - bin_j) % op.n_bins]
-            gram[r, i, i] = 1.0  # unit-norm atoms: p[0] = K / K
-            selected[r, i] = op.atoms([bin_j])[:, 0]
-            rhs[r, i] = np.vdot(selected[r, i], Y[r])
-            support.append(bin_j)
-
-            try:
-                factor = np.linalg.cholesky(gram[r, : i + 1, : i + 1])
-            except np.linalg.LinAlgError as exc:
-                raise GramSingularError(support) from exc
-            half_solved = np.linalg.solve(factor, rhs[r, : i + 1])
-            coefficients[r] = np.linalg.solve(factor.conj().T, half_solved)
-
-            residuals[r] = Y[r] - coefficients[r] @ selected[r, : i + 1]
-            residual_norm = float(np.linalg.norm(residuals[r]))
-            residual_norms[r].append(residual_norm)
-            if residual_norm > _RESIDUAL_TOL * y_norms[r]:
-                still_active.append(r)
-        active = still_active
-
-    return [RecoveryResult(supports[r], coefficients[r], residual_norms[r]) for r in range(b)]
-
-
-def _chunk_magnitudes(correlation: np.ndarray, support: Sequence[int]):
-    """Yield ``(lo, |correlation[lo : lo + _PSF_CHUNK]|)`` chunk by chunk, with
-    the support's bins at -1.0, all in one reused chunk-sized buffer."""
-    n = len(correlation)
-    magnitude = np.empty(min(_PSF_CHUNK, n))
-    for lo in range(0, n, _PSF_CHUNK):
-        mag = np.abs(correlation[lo : lo + _PSF_CHUNK], out=magnitude[: min(_PSF_CHUNK, n - lo)])
-        for b in support:
-            if lo <= b < lo + len(mag):
-                mag[b - lo] = -1.0
-        yield lo, mag
-
-
-def _strongest_bin(correlation: np.ndarray, support: Sequence[int]) -> tuple[int, float]:
-    """The bin outside ``support`` of largest ``|correlation|``, and that magnitude.
-
-    A later chunk wins only with a strictly larger magnitude, so ties resolve
-    to the lowest bin, as in ``numpy.argmax``.
-    """
-    best, best_bin = -math.inf, 0
-    for lo, mag in _chunk_magnitudes(correlation, support):
-        top = int(np.argmax(mag))
-        if mag[top] > best:
-            best, best_bin = float(mag[top]), lo + top
-    return best_bin, best
+    return RecoveryResult(support, coefficients, residual_norms)
 
 
 def _listed(
@@ -304,7 +249,7 @@ def _listed(
         for lo, mag in _chunk_magnitudes(correlation, support):
             hits = np.flatnonzero(mag >= tau)
             count += len(hits)
-            if count > _PSF_CHUNK:
+            if count > sensing._PSF_CHUNK:
                 found = []
                 break
             found.append(hits + lo)
@@ -317,7 +262,7 @@ def _screen(
     support: Sequence[int],
     coefficients: np.ndarray,
     reference: np.ndarray,
-    tau: float,
+    peak: float,
     bins: np.ndarray,
     values: np.ndarray,
 ) -> Optional[int]:
@@ -326,7 +271,9 @@ def _screen(
 
     ``bins`` are the ascending bins where the reference correlation ``alpha'``,
     taken at ``reference`` (the first ``len(reference)`` coefficients; 0 for
-    the rest), reached ``tau``, and ``values`` is ``alpha'`` there. With ``dc =
+    the rest), reached ``tau = _LIST_FRACTION * peak``, and ``values`` is
+    ``alpha'`` there; ``peak`` is the largest ``|alpha'|`` outside the support
+    and bounds every listed one. With ``dc =
     coefficients - reference``, the current correlation is ``alpha[n] =
     alpha'[n] - sum_j dc_j p[(b_j - n) mod N]``, since ``(Phi* a_b)[n] = p[(b - n) mod N]``. It
     is evaluated on the listed bins only, in groups of atoms whose gathers of
@@ -339,19 +286,19 @@ def _screen(
     p, mu = psf
     if not len(bins):
         return None
+    tau = _LIST_FRACTION * peak
     delta = coefficients.copy()
     delta[: len(reference)] -= reference
     atoms = np.asarray(support)
     current = values.copy()
-    group = max(1, _PSF_CHUNK // len(bins))
+    group = max(1, sensing._PSF_CHUNK // len(bins))
     for lo in range(0, len(atoms), group):
         # b_j - n lies in (-N, N), and p[d - N] == p[d]
         current -= delta[lo : lo + group] @ p[atoms[lo : lo + group, np.newaxis] - bins]
     magnitude = np.abs(current)
     top = int(np.argmax(magnitude))
     shift = float(np.abs(delta).sum())
-    # tau / _LIST_FRACTION, the reference's peak, bounds every listed |alpha'|
-    rounding = 4 * (len(atoms) + 2) * np.finfo(float).eps * (tau / _LIST_FRACTION + shift)
+    rounding = 4 * (len(atoms) + 2) * np.finfo(float).eps * (peak + shift)
     return None if magnitude[top] <= tau + mu * shift + rounding else top
 
 

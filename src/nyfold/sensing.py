@@ -7,20 +7,18 @@ rows indexed by the sample schedule. Column j of ``Phi`` is the unit-norm atom
 index. ``Phi* Phi`` is circulant: Gram entry ``<a_i, a_j>`` is ``p[(j - i) mod N]``,
 read from the schedule's point-spread function ``p``, one FFT of the sample mask.
 
-The adjoint batches along the last axis, as ``numpy.fft`` does: a ``(K,)``
-measurement vector gives an ``(N,)`` correlation, and a ``(B, K)`` stack of B
-measurement rows gives ``(B, N)``. Every row is transformed alone, one
-``numpy.fft.fft`` call per row, because numpy's FFT of two or more rows holds
-more scratch memory than one row (8.2 MB against 3.6 MB for ten rows at
-N = 10^5, 20 MB against 8 MB for two or three at N = 2^18).
+The adjoint takes one ``(K,)`` measurement row and gives its ``(N,)``
+correlation, one ``numpy.fft.fft`` call. It has no batch path: numpy's FFT of
+two or more rows holds more scratch memory than one row (8.2 MB against 3.6 MB
+for ten rows at N = 10^5, 20 MB against 8 MB for two or three at N = 2^18), so
+a caller with many rows, as OMP is, transforms them one at a time.
 
 ``adjoint(y, out=...)`` follows the numpy ``out`` convention: ``out`` is a
-C-contiguous complex128 array of the result's shape. The call zeroes it,
-scatters ``y`` into it, transforms it there (``numpy.fft``'s own ``out=``),
-scales it in place and returns it; the values are bitwise those of the
-allocating call. A caller that runs many adjoints of the same width, as OMP
-does, reuses one buffer instead of allocating and zero-filling a fresh
-``(B, N)`` array each time.
+C-contiguous complex128 array of shape ``(N,)``. The call zeroes it, scatters
+``y`` into it, transforms it there (``numpy.fft``'s own ``out=``), scales it in
+place and returns it; the values are bitwise those of the allocating call. A
+caller that runs many adjoints, as OMP does, reuses one buffer instead of
+allocating and zero-filling a fresh row each time.
 """
 
 from __future__ import annotations
@@ -38,6 +36,33 @@ from .signal_clock import SampleSchedule, TimeGrid
 # that its magnitudes stay in cache; 8192 and 16384 ran alike on the recovery
 # benchmark
 _PSF_CHUNK = 8192
+
+
+def _chunk_magnitudes(correlation: np.ndarray, support: Sequence[int]):
+    """Yield ``(lo, |correlation[lo : lo + _PSF_CHUNK]|)`` chunk by chunk, with
+    the support's bins at -1.0, all in one reused chunk-sized buffer."""
+    n = len(correlation)
+    magnitude = np.empty(min(_PSF_CHUNK, n))
+    for lo in range(0, n, _PSF_CHUNK):
+        mag = np.abs(correlation[lo : lo + _PSF_CHUNK], out=magnitude[: min(_PSF_CHUNK, n - lo)])
+        for b in support:
+            if lo <= b < lo + len(mag):
+                mag[b - lo] = -1.0
+        yield lo, mag
+
+
+def _strongest_bin(correlation: np.ndarray, support: Sequence[int]) -> tuple[int, float]:
+    """The bin outside ``support`` of largest ``|correlation|``, and that magnitude.
+
+    A later chunk wins only with a strictly larger magnitude, so ties resolve
+    to the lowest bin, as in ``numpy.argmax``.
+    """
+    best, best_bin = -math.inf, 0
+    for lo, mag in _chunk_magnitudes(correlation, support):
+        top = int(np.argmax(mag))
+        if mag[top] > best:
+            best, best_bin = float(mag[top]), lo + top
+    return best_bin, best
 
 
 @dataclass(frozen=True)
@@ -113,22 +138,15 @@ class SensingOperator:
 
         ``mu`` is the largest inner product of two distinct atoms. As
         ``|p[N - d]| == |p[d]|`` bitwise, only ``d = 1 .. N // 2`` is scanned,
-        ``_PSF_CHUNK`` offsets at a time with no length-N temporary; a later
-        chunk wins only with a strictly larger magnitude, so ties go to the
+        by ``_strongest_bin`` with no length-N temporary, so ties go to the
         lowest offset.
         """
         return self._coherence
 
     @functools.cached_property
     def _coherence(self) -> tuple[float, int]:
-        half = self.point_spread[1 : self.n_bins // 2 + 1]  # d = 1 .. N // 2; N >= 2
-        mu, offset = -1.0, 0
-        for lo in range(0, len(half), _PSF_CHUNK):
-            magnitude = np.abs(half[lo : lo + _PSF_CHUNK])
-            top = int(np.argmax(magnitude))
-            if magnitude[top] > mu:
-                mu, offset = float(magnitude[top]), lo + top + 1
-        return mu, offset
+        offset, mu = _strongest_bin(self.point_spread[1 : self.n_bins // 2 + 1], [])  # N >= 2
+        return mu, offset + 1
 
     def atoms(self, bins: Sequence[int]) -> np.ndarray:
         """Materialize unit-norm columns for the given bins (K x len(bins))."""
@@ -148,35 +166,32 @@ class SensingOperator:
         return full[self.schedule.indices] * (self.n_bins / math.sqrt(self.k_measurements))
 
     def adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply Phi*: correlate measurements against every atom.
+        """Apply Phi*: correlate one (K,) measurement row against every atom, giving (N,).
 
-        ``y`` of shape (K,) gives (N,); (B, K) gives (B, N), one row per
-        measurement row, by one FFT call per row. ``out``, if given, receives
-        the result and is returned (see the module docstring); one that
-        overlaps ``y`` raises ``ValueError``, since zeroing it would wipe ``y``.
+        ``out``, if given, receives the result and is returned (see the module
+        docstring); one that overlaps ``y`` raises ``ValueError``, since zeroing
+        it would wipe ``y``.
         """
         y = np.asarray(y)
-        if y.ndim not in (1, 2) or y.shape[-1] != self.k_measurements:
-            raise ValueError("measurements must have shape (K,) or (B, K)")
+        if y.shape != (self.k_measurements,):
+            raise ValueError("measurements must have shape (K,)")
         if not np.isfinite(y).all():
             raise ValueError("measurements must be finite")
-        shape = y.shape[:-1] + (self.n_bins,)
         if out is None:
-            out = np.zeros(shape, dtype=complex)
+            out = np.zeros(self.n_bins, dtype=complex)
         elif not (
             isinstance(out, np.ndarray)
-            and out.shape == shape
+            and out.shape == (self.n_bins,)
             and out.dtype == np.complex128
             and out.flags.c_contiguous
         ):
-            raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}")
+            raise ValueError(f"out must be a C-contiguous complex128 array of shape ({self.n_bins},)")
         elif np.may_share_memory(out, y):
             raise ValueError("out must not overlap the measurements")
         else:
             out.fill(0.0)
-        out[..., self.schedule.indices] = y  # schedule indices are strictly increasing
-        for row in out.reshape(-1, self.n_bins):  # a view: out is C-contiguous
-            np.fft.fft(row, out=row)
+        out[self.schedule.indices] = y  # schedule indices are strictly increasing
+        np.fft.fft(out, out=out)
         # numpy divides complex by a real as a product with the reciprocal, so
         # this equals dividing by sqrt(K) up to the sign of zeros, ~6x faster
         out *= 1.0 / math.sqrt(self.k_measurements)

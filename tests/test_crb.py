@@ -195,7 +195,7 @@ class TestBatchedZoneTrials:
     K_VALUES = [200, 800]
     TRIALS = 24
 
-    def test_one_adjoint_per_block_of_trials(self, config, monkeypatch):
+    def test_one_adjoint_per_trial(self, config, monkeypatch):
         grid, clock, schedule = config
         shapes = []
 
@@ -206,8 +206,8 @@ class TestBatchedZoneTrials:
 
         monkeypatch.setattr(crb, "SensingOperator", CountingOp)
         simulate_nz_trials(grid, clock, -14.0, 20, self.K_VALUES, self.TRIALS, 5, schedule)
-        # blocks of at most three rows: eight (3, K) calls per K for 24 trials
-        assert shapes == [(3, k) for k in self.K_VALUES for _ in range(8)]
+        # a one-step pursuit of each trial's row alone: one (K,) call per trial
+        assert shapes == [(k,) for k in self.K_VALUES for _ in range(self.TRIALS)]
 
     def test_batch_equals_per_trial_pursuit(self, config):
         grid, clock, schedule = config

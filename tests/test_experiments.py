@@ -225,7 +225,7 @@ class TestRecoverySweepRunner:
 
     @pytest.mark.parametrize("rows_per_block", [None, 2])
     def test_csv_matches_golden(self, tmp_path, monkeypatch, rows_per_block):
-        """results.csv is pinned byte for byte, also with trials split across blocks."""
+        """results.csv is pinned byte for byte, also with a two-row workspace allocated."""
         if rows_per_block is not None:
             monkeypatch.setattr(omp, "_BATCH_POINTS", rows_per_block * 16384)
         config = resolve_config("recovery-sweep", "desk", self.OVERRIDES)

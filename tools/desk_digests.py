@@ -19,8 +19,8 @@ its SVG plot (``plot_<experiment>.svg``, hyphens as underscores) and its
 row. The script prints each run's wall seconds, peak RSS and minor page
 faults (the child's ``ru_maxrss`` and ``ru_minflt``), then ``match`` or
 ``mismatch`` per file, and on a mismatch the first row whose digest differs.
-Desk ``recovery-sweep`` alone took 265 s on a 2-core VM, and the other five
-about 51 s together. Exit status: 0 all match, 1 any mismatch or failed run.
+Desk ``recovery-sweep`` alone took 220-240 s on a 2-core VM, and the other
+five about 54 s together. Exit status: 0 all match, 1 any mismatch or failed run.
 """
 
 from __future__ import annotations
