@@ -17,20 +17,28 @@ coefficients ``c'`` becomes ``alpha[n] = alpha'[n] - sum_j (c_j - c'_j)
 p[(b_j - n) mod N]`` at coefficients ``c``.
 
 Each row keeps a reference correlation ``alpha'`` in the workspace (first
-``g = Phi* y``, later one adjoint of its explicit residual), the coefficients
-it was taken at, and the short list of bins where ``|alpha'|`` reaches
-``tau``, ``_LIST_FRACTION`` of its largest magnitude. An iteration evaluates
-``alpha`` on the listed bins only. With the coherence ``mu = max over d != 0
-of |p[d]|``, any other bin outside the support has ``|alpha| < tau + mu
-sum_j |c_j - c'_j|`` (Tropp, "Greed is good", IEEE Trans. Inf. Theory 50(10),
-2004, bounds one correlation's move the same way). So when the best listed
-magnitude clears that bound by more than a rounding margin, it is the argmax
-over all N bins. Otherwise the screen fails and the row refreshes: one
-adjoint of its explicit residual into the workspace, whose argmax is taken
-and whose list is rebuilt when next needed. Screened and refreshed
-correlations differ in their last bits, and on every row tested they picked
-the bins that a full adjoint per iteration picks. A one-step pursuit
-(``max_iters = 1``) screens nothing, and builds no ``p`` and no ``mu``.
+``g = Phi* y``, later one adjoint of its explicit residual) and the
+coefficients it was taken at. A later pick is certified chunk by chunk, over
+chunks of W = ``sensing._ENVELOPE_BINS`` bins. ``R[c]``, the largest
+``|alpha'|`` in chunk c outside the support, is kept exact: a bin that joins
+the support rescans its chunk. ``E_j[c]`` bounds ``|p|`` on the W offsets
+``(b_j - n) mod N`` of chunk c, read from the operator's cached per-chunk
+maxima of ``|p|`` over ``d != 0``. So every bin n of chunk c outside the
+support has ``|alpha[n]| <= R[c] + sum_j |c_j - c'_j| E_j[c]`` (Tropp, "Greed
+is good", IEEE Trans. Inf. Theory 50(10), 2004, bounds one correlation's move
+the same way, with the coherence in place of ``E_j``). An iteration evaluates
+``alpha`` exactly on the chunk of largest bound, then on every chunk whose
+bound reaches that chunk's best magnitude less a rounding margin; the best of
+those, lowest bin on ties, beats every other chunk's bound, so it is the
+argmax over all N bins. When those chunks hold more than
+``sensing._PSF_CHUNK`` bins, the ``_PSF_CHUNK / W`` of largest bound are
+evaluated, and unless their best rules out every other chunk the row
+refreshes: one adjoint of its explicit residual into the workspace, whose
+argmax is taken. Certified and refreshed correlations differ in their last
+bits, and on every row tested they picked the bins that a full adjoint per
+iteration picks. On the recovery benchmark no row refreshes. A one-step
+pursuit (``max_iters = 1``) certifies nothing, and builds no ``p`` and no
+envelope.
 
 ``omp_recover_batch`` pursues its rows one at a time, each from its own
 measurement row alone, so every result is the one ``omp_recover`` gives for
@@ -53,7 +61,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import sensing
-from .sensing import SensingOperator, _chunk_magnitudes, _strongest_bin
+from .sensing import SensingOperator, _chunk_maxima, _strongest_bin
 from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 
 # sizes each call's workspace at min(3, 2^19 // N) rows of N points, at least
@@ -65,14 +73,6 @@ from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 # one-row workspace took 136k minor faults against 42-46k, and 0.18 s longer;
 # on zone-id (N = 10^5, three rows) 199k against 31k, and 0.36 s longer.
 _BATCH_POINTS = 2**19
-# a row lists the bins where its reference correlation reaches this fraction
-# of its largest magnitude; later iterations evaluate only those. A higher
-# fraction fails the screen sooner, a lower one lists more bins. In-process OMP
-# on the recovery benchmark's inputs (2-core VM, one BLAS thread) took
-# 0.62-0.69 s with 62 adjoint rows at 1/4, against 0.84-0.99 s (89 rows) at
-# 1/2, 1.04-1.16 s (95) at 1/10 and 2.7-3.0 s (367) at 1/20, where most lists
-# outgrow one chunk; the parent's PSF-sum-then-FFT pursuit took 1.9-2.0 s.
-_LIST_FRACTION = 0.25
 # a row stops once its residual norm drops to this fraction of its measurement norm
 _RESIDUAL_TOL = 1e-12
 
@@ -123,10 +123,10 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
     drops to ``_RESIDUAL_TOL * ||y||``; an all-zero row returns an empty result.
     Ties in the correlation magnitude resolve to the lowest bin, which makes
     the selection order deterministic. A row takes one adjoint before its
-    first pick; later, it takes one only when the coherence screen cannot show
-    that a listed bin is the strongest (see the module docstring).
-    ``op.point_spread``, which also gives every Gram entry, and
-    ``op.coherence()`` are built before the first row when ``max_iters > 1``.
+    first pick; later, it takes one only when certifying the pick would need
+    more than ``sensing._PSF_CHUNK`` bins (see the module docstring).
+    ``op.point_spread``, which also gives every Gram entry, and its chunk
+    envelope are built before the first row when ``max_iters > 1``.
 
     Raises
     ------
@@ -144,12 +144,12 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
     if not finite.all():
         raise ValueError(f"measurement row {int(np.argmin(finite))} is not finite")
 
-    # a one-step pursuit screens nothing, so it builds no point-spread function
-    # and no coherence; otherwise both are built here, before the workspace
-    psf = (op.point_spread, op.coherence()[0]) if max_iters > 1 else None
+    # a one-step pursuit certifies nothing, so it builds no point-spread function
+    # and no envelope; otherwise both are built here, before the workspace
+    certificate = _Certificate(op) if max_iters > 1 else None
     rows = min(3, max(1, _BATCH_POINTS // op.n_bins), len(Y))
     work = np.empty((rows, op.n_bins), dtype=complex)
-    return [_pursue(op, y, max_iters, psf, work[0]) for y in Y]
+    return [_pursue(op, y, max_iters, certificate, work[0]) for y in Y]
 
 
 def pursue_trials(
@@ -176,16 +176,14 @@ def _pursue(
     op: SensingOperator,
     y: np.ndarray,
     max_iters: int,
-    psf: Optional[tuple[np.ndarray, float]],
+    certificate: Optional[_Certificate],
     work: np.ndarray,
 ) -> RecoveryResult:
     """The OMP iteration for one measurement row, its adjoints written into ``work``.
 
-    ``psf`` is ``(p, mu)``, the point-spread function and the coherence, or
-    None for a one-step pursuit. ``work`` holds the reference correlation,
-    taken at the coefficients ``reference``, whose largest magnitude outside
-    the support is ``peak``; ``listing`` holds its listed bins and their
-    reference values, or None until they are listed.
+    ``certificate`` is None for a one-step pursuit. ``work`` holds the
+    reference correlation, taken at the coefficients ``reference``, whose
+    largest magnitude outside the support is ``peak``.
     """
     y_norm = float(np.linalg.norm(y))
     support: list[int] = []
@@ -199,26 +197,25 @@ def _pursue(
     op.adjoint(y, out=work)
     for i in range(max_iters):  # the support holds i atoms
         bin_j = None
-        if i:  # screen the listed bins; psf is set, as max_iters > 1
-            if listing is None:
-                listing = _listed(work, support, _LIST_FRACTION * peak)
-            bins, values = listing
-            top = _screen(psf, support, coefficients, reference, peak, bins, values)
-            if top is None:  # refresh: one adjoint of the explicit residual
+        if i:  # certify a pick; the certificate is set, as max_iters > 1
+            bin_j = certificate.pick(work, support, coefficients, reference, peak)
+            if bin_j is None:  # refresh: one adjoint of the explicit residual
                 op.adjoint(residual, out=work)
-            else:  # the picked bin joins the support and leaves the list
-                bin_j = int(bins[top])
-                listing = np.delete(bins, top), np.delete(values, top)
         if bin_j is None:
-            bin_j, peak = _strongest_bin(work, support)
-            reference, listing = coefficients, None
+            if certificate is None:
+                bin_j, peak = _strongest_bin(work, support)
+            else:
+                bin_j, peak = certificate.rescan(work, support)
+            reference = coefficients
 
         if i:  # <a_i, a_j> = p[(b_j - b_i) mod N]; a one-step pursuit has no p
-            gram[i, :i] = psf[0][(np.asarray(support) - bin_j) % op.n_bins]
+            gram[i, :i] = certificate.p[(np.asarray(support) - bin_j) % op.n_bins]
         gram[i, i] = 1.0  # unit-norm atoms: p[0] = K / K
         selected[i] = op.atoms([bin_j])[:, 0]
         rhs[i] = np.vdot(selected[i], y)
         support.append(bin_j)
+        if certificate is not None:
+            certificate.drop(work, support, bin_j)
 
         try:
             factor = np.linalg.cholesky(gram[: i + 1, : i + 1])
@@ -234,72 +231,165 @@ def _pursue(
     return RecoveryResult(support, coefficients, residual_norms)
 
 
-def _listed(
-    correlation: np.ndarray, support: Sequence[int], tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending bins outside ``support`` where ``|correlation| >= tau``, and their values.
+class _Certificate:
+    """One ``omp_recover_batch`` call's chunk certificate: the envelope it reads
+    and the buffers it reuses, none of them as long as N.
 
-    Lists nothing when ``tau`` is not positive or more than ``_PSF_CHUNK`` bins
-    qualify, as on a noise-only row, whose magnitudes are flat: a row with no
-    list refreshes at its next screen. The scan stops once the list outgrows
-    one chunk, so no temporary holds more than a chunk.
+    ``R`` holds the current row's per-chunk maxima of ``|alpha'|`` outside the
+    support, ``ceiling`` each iteration's chunk bounds, and ``envelope`` the
+    pair table that ``_bound`` reads, reversed. ``gathered`` and ``offsets``
+    hold ``_PSF_CHUNK`` entries each (``gathered`` at least half a float per
+    chunk), for the evaluation's values, gathers of p, products and
+    magnitudes, and its bins and offsets.
     """
-    found, count = [], 0
-    if tau > 0.0:
-        for lo, mag in _chunk_magnitudes(correlation, support):
-            hits = np.flatnonzero(mag >= tau)
-            count += len(hits)
-            if count > sensing._PSF_CHUNK:
-                found = []
-                break
-            found.append(hits + lo)
-    bins = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
-    return bins, correlation[bins]
 
+    def __init__(self, op: SensingOperator) -> None:
+        self.p = op.point_spread
+        q = op._psf_envelope
+        # a window of at most W offsets ending in chunk k > 0 lies in chunks k - 1
+        # and k; one ending in chunk 0 wraps to offsets N - d with 0 < d < W, and
+        # |p[N - d]| == |p[d]|, so chunk 0 bounds it alone
+        pair = q.copy()
+        np.maximum(q[1:], q[:-1], out=pair[1:])
+        self.envelope = pair[::-1].copy()
+        self.R = np.empty(len(q))
+        self.ceiling = np.empty(len(q))
+        # as floats, gathered also serves as _bound's scratch, before any evaluation
+        self.gathered = np.empty(max(sensing._PSF_CHUNK, -(-len(q) // 2)), dtype=complex)
+        self.offsets = np.empty(sensing._PSF_CHUNK, dtype=np.int64)
 
-def _screen(
-    psf: tuple[np.ndarray, float],
-    support: Sequence[int],
-    coefficients: np.ndarray,
-    reference: np.ndarray,
-    peak: float,
-    bins: np.ndarray,
-    values: np.ndarray,
-) -> Optional[int]:
-    """The list position of the strongest bin outside ``support``, if a listed
-    bin provably holds it, else None.
+    def rescan(self, work: np.ndarray, support: Sequence[int]) -> tuple[int, float]:
+        """Take ``R`` from a fresh reference correlation in ``work``; return its
+        strongest bin outside ``support`` (lowest on ties) and that magnitude."""
+        _chunk_maxima(work, support, self.R)
+        top = int(np.argmax(self.R))
+        mag = self._chunk(work, support, top)
+        return top * sensing._ENVELOPE_BINS + int(np.argmax(mag)), float(self.R[top])
 
-    ``bins`` are the ascending bins where the reference correlation ``alpha'``,
-    taken at ``reference`` (the first ``len(reference)`` coefficients; 0 for
-    the rest), reached ``tau = _LIST_FRACTION * peak``, and ``values`` is
-    ``alpha'`` there; ``peak`` is the largest ``|alpha'|`` outside the support
-    and bounds every listed one. With ``dc =
-    coefficients - reference``, the current correlation is ``alpha[n] =
-    alpha'[n] - sum_j dc_j p[(b_j - n) mod N]``, since ``(Phi* a_b)[n] = p[(b - n) mod N]``. It
-    is evaluated on the listed bins only, in groups of atoms whose gathers of
-    p hold at most one chunk. Any other bin outside the support has ``|alpha|
-    < tau + mu sum_j |dc_j|``, as ``|p[d]| <= mu`` for ``d != 0``. So the
-    listed maximum is the maximum over all N bins when it exceeds that bound
-    by more than the rounding of the i + 1 terms behind each listed value,
-    ``4 (i + 2) eps`` of their magnitudes; ties resolve to the lowest bin.
-    """
-    p, mu = psf
-    if not len(bins):
-        return None
-    tau = _LIST_FRACTION * peak
-    delta = coefficients.copy()
-    delta[: len(reference)] -= reference
-    atoms = np.asarray(support)
-    current = values.copy()
-    group = max(1, sensing._PSF_CHUNK // len(bins))
-    for lo in range(0, len(atoms), group):
-        # b_j - n lies in (-N, N), and p[d - N] == p[d]
-        current -= delta[lo : lo + group] @ p[atoms[lo : lo + group, np.newaxis] - bins]
-    magnitude = np.abs(current)
-    top = int(np.argmax(magnitude))
-    shift = float(np.abs(delta).sum())
-    rounding = 4 * (len(atoms) + 2) * np.finfo(float).eps * (peak + shift)
-    return None if magnitude[top] <= tau + mu * shift + rounding else top
+    def drop(self, work: np.ndarray, support: Sequence[int], bin_j: int) -> None:
+        """Keep ``R`` exact once ``bin_j`` has joined ``support``: rescan its chunk."""
+        c = bin_j // sensing._ENVELOPE_BINS
+        self.R[c] = self._chunk(work, support, c).max()
+
+    @staticmethod
+    def _chunk(work: np.ndarray, support: Sequence[int], c: int) -> np.ndarray:
+        """``|work|`` over chunk c, with the support's bins at -1.0."""
+        lo = c * sensing._ENVELOPE_BINS
+        mag = np.abs(work[lo : lo + sensing._ENVELOPE_BINS])
+        for b in support:
+            if lo <= b < lo + len(mag):
+                mag[b - lo] = -1.0
+        return mag
+
+    def _bound(self, support: Sequence[int], weights: np.ndarray, n: int) -> np.ndarray:
+        """``R[c] + sum_j weights_j E_j[c]``, with ``E_j[c]`` the pair table at
+        the chunk of ``(b_j - c W) mod N``, the largest offset of chunk c.
+
+        That chunk is ``b_j // W - c`` while ``c W <= b_j`` and ``(b_j + N) // W
+        - c`` after, so ``E_j`` is two slices of the reversed table.
+        """
+        width, envelope = sensing._ENVELOPE_BINS, self.envelope
+        count = len(envelope)
+        scratch = self.gathered.view(float)[:count]
+        ceiling = self.ceiling
+        ceiling[:] = self.R
+        for b, weight in zip(support, weights):
+            head, wrapped = b // width + 1, (b + n) // width
+            np.multiply(envelope[count - head :], weight, out=scratch[:head])
+            np.multiply(envelope[count - wrapped + head - 1 : 2 * count - 1 - wrapped], weight,
+                        out=scratch[head:])
+            ceiling += scratch
+        return ceiling
+
+    def pick(
+        self,
+        work: np.ndarray,
+        support: Sequence[int],
+        coefficients: np.ndarray,
+        reference: np.ndarray,
+        peak: float,
+    ) -> Optional[int]:
+        """The strongest bin outside ``support`` at ``coefficients``, if certifying
+        it takes at most ``_PSF_CHUNK`` bins, else None.
+
+        ``work`` holds ``alpha'``, taken at ``reference`` (the first
+        ``len(reference)`` coefficients; 0 for the rest), and ``peak`` is its
+        largest magnitude outside the support when it was taken. A chunk need
+        not be evaluated once its bound lies below ``best - margin``, with the
+        margin ``4 (i + 2) eps (peak + sum_j |dc_j|)`` covering the rounding of
+        the i + 1 terms behind each value and bound. The chunk of largest bound
+        is evaluated first, then the chunks its best magnitude cannot rule out,
+        or if they hold more than ``_PSF_CHUNK`` bins the ``_PSF_CHUNK / W`` of
+        largest bound, whose best must then rule out the rest. Either set holds
+        every chunk that its best does not rule out, and ties resolve to the
+        lowest bin. With ``_PSF_CHUNK < 3 W`` an evaluated chunk's rows would
+        not fit the buffers, and every pick refreshes.
+        """
+        budget = sensing._PSF_CHUNK // sensing._ENVELOPE_BINS  # chunks evaluated at most
+        if budget < 3:
+            return None
+        delta = coefficients.copy()
+        delta[: len(reference)] -= reference
+        weights = np.abs(delta)
+        ceiling = self._bound(support, weights, len(work))
+        margin = 4 * (len(support) + 2) * np.finfo(float).eps * (peak + float(weights.sum()))
+        best = self._evaluate(work, support, delta, np.array([int(np.argmax(ceiling))]))
+        open_chunks = np.count_nonzero(ceiling >= best[0] - margin)
+        if open_chunks > 1:
+            if open_chunks <= budget:
+                chunks = np.flatnonzero(ceiling >= best[0] - margin)
+            else:
+                chunks = np.sort(np.argpartition(ceiling, len(ceiling) - budget)[-budget:])
+            best = self._evaluate(work, support, delta, chunks)
+            if open_chunks > budget and np.count_nonzero(ceiling >= best[0] - margin) > budget:
+                return None
+        return best[1]
+
+    def _evaluate(
+        self, work: np.ndarray, support: Sequence[int], delta: np.ndarray, chunks: np.ndarray
+    ) -> tuple[float, int]:
+        """The largest ``|alpha|`` over the bins of ``chunks`` (ascending) outside
+        ``support``, and its lowest bin.
+
+        ``alpha = alpha' - sum_j dc_j p[(b_j - n) mod N]`` is formed block by
+        block: a block of S bins takes ``group + 2`` rows of S entries in
+        ``gathered`` (its values, the gathers of p for ``group`` atoms, and
+        their product) and ``group + 1`` in ``offsets`` (the gathers' offsets
+        and its bins). A block holds as many chunks as fit with every atom in
+        one group, or one chunk and the atoms in groups.
+        """
+        width, n, size = sensing._ENVELOPE_BINS, len(work), sensing._PSF_CHUNK
+        atoms = np.asarray(support)
+        held = atoms // width
+        past = len(self.R) * width - n  # bins of the last chunk past N - 1
+        per = max(1, size // ((len(atoms) + 2) * width))  # chunks per block
+        best = (-math.inf, 0)
+        for first in range(0, len(chunks), per):
+            block = chunks[first : first + per]
+            span = len(block) * width
+            group = min(len(atoms), size // span - 2)
+            rows = self.gathered[: (group + 2) * span].reshape(group + 2, span)
+            values, product = rows[0], rows[-1]
+            bins = self.offsets[group * span : (group + 1) * span]
+            np.add.outer(block * width, np.arange(width), out=bins.reshape(len(block), width))
+            # bins past N - 1 wrap; their magnitudes are set to -1.0 below
+            np.take(work, bins, out=values, mode="wrap")
+            for lo in range(0, len(atoms), group):
+                part = atoms[lo : lo + group]
+                offsets = self.offsets[: len(part) * span].reshape(len(part), span)
+                np.subtract.outer(part, bins, out=offsets)
+                gathered = np.take(self.p, offsets, out=rows[1 : 1 + len(part)], mode="wrap")
+                values -= np.matmul(delta[lo : lo + group], gathered, out=product)
+            mag = np.abs(values, out=product.view(float)[:span])
+            if past and block[-1] == len(self.R) - 1:
+                mag[span - past :] = -1.0
+            at = np.minimum(np.searchsorted(block, held), len(block) - 1)
+            hit = block[at] == held
+            mag[at[hit] * width + atoms[hit] % width] = -1.0
+            top = int(np.argmax(mag))
+            if mag[top] > best[0]:  # a later block holds only higher bins
+                best = (float(mag[top]), int(bins[top]))
+        return best
 
 
 def score_recovery(

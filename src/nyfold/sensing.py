@@ -36,6 +36,9 @@ from .signal_clock import SampleSchedule, TimeGrid
 # that its magnitudes stay in cache; 8192 and 16384 ran alike on the recovery
 # benchmark
 _PSF_CHUNK = 8192
+# bins per chunk of the point-spread envelope, whose per-chunk maxima of |p|
+# bound OMP's correlation updates chunk by chunk (see omp.py)
+_ENVELOPE_BINS = 64
 
 
 def _chunk_magnitudes(correlation: np.ndarray, support: Sequence[int]):
@@ -63,6 +66,24 @@ def _strongest_bin(correlation: np.ndarray, support: Sequence[int]) -> tuple[int
         if mag[top] > best:
             best, best_bin = float(mag[top]), lo + top
     return best_bin, best
+
+
+def _chunk_maxima(values: np.ndarray, skip: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """Write into ``out[c]`` the largest ``|values[n]|`` over chunk c, the
+    ``_ENVELOPE_BINS`` bins from ``c * _ENVELOPE_BINS``, with the bins in
+    ``skip`` left out (-1.0 for a chunk of skipped bins only), and return ``out``.
+
+    The magnitudes come from ``_chunk_magnitudes``, so there is no length-N
+    temporary; a chunk that two of its scan chunks share takes the larger part.
+    """
+    width = _ENVELOPE_BINS
+    out.fill(-1.0)
+    for lo, mag in _chunk_magnitudes(values, skip):
+        starts = np.arange(-(lo % width), len(mag), width)  # chunk heads, relative to lo
+        starts[0] = 0
+        part = out[lo // width : lo // width + len(starts)]
+        np.maximum(part, np.maximum.reduceat(mag, starts), out=part)
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,21 +153,36 @@ class SensingOperator:
         p /= self.k_measurements
         return p
 
+    @functools.cached_property
+    def _psf_envelope(self) -> np.ndarray:
+        """``Q[c]``: the largest ``|p[d]|`` over the offsets ``d != 0`` of chunk c,
+        the ``_ENVELOPE_BINS`` from ``c * _ENVELOPE_BINS``, at most 1.0, as
+        ``|p[d]| <= 1`` exactly; taken on first use and kept. OMP bounds its
+        correlation updates with it."""
+        q = np.empty(-(-self.n_bins // _ENVELOPE_BINS))
+        _chunk_maxima(self.point_spread, [0], q)
+        return np.minimum(q, 1.0, out=q)
+
     def coherence(self) -> tuple[float, int]:
         """``(mu, d)``: the coherence ``mu = max over d != 0 of |p[d]|`` and its
         lowest offset, taken on first use.
 
-        ``mu`` is the largest inner product of two distinct atoms. As
-        ``|p[N - d]| == |p[d]|`` bitwise, only ``d = 1 .. N // 2`` is scanned,
-        by ``_strongest_bin`` with no length-N temporary, so ties go to the
-        lowest offset.
+        ``mu`` is the largest inner product of two distinct atoms, at most 1.0:
+        ``|p[d]| <= 1`` exactly, and a comb's aliasing peaks that round above
+        1.0 read 1.0. The lowest chunk of ``_psf_envelope`` that reaches ``mu``
+        holds the lowest such offset, so no length-N temporary is taken.
         """
         return self._coherence
 
     @functools.cached_property
     def _coherence(self) -> tuple[float, int]:
-        offset, mu = _strongest_bin(self.point_spread[1 : self.n_bins // 2 + 1], [])  # N >= 2
-        return mu, offset + 1
+        q = self._psf_envelope
+        top = int(np.argmax(q))
+        lo = top * _ENVELOPE_BINS
+        mag = np.minimum(np.abs(self.point_spread[lo : lo + _ENVELOPE_BINS]), 1.0)
+        if lo == 0:
+            mag[0] = -1.0  # N >= 2, so chunk 0 holds an offset d != 0
+        return float(q[top]), lo + int(np.argmax(mag))
 
     def atoms(self, bins: Sequence[int]) -> np.ndarray:
         """Materialize unit-norm columns for the given bins (K x len(bins))."""

@@ -53,11 +53,12 @@ def test_mismatch_names_the_first_differing_row(capsys):
 
 
 def test_run_preset_reports_wall_seconds_and_peak_rss(tmp_path):
+    """Beside wall seconds, peak RSS and minor faults, the child's CPU seconds."""
     tool = load_tool()
-    digests, wall_s, peak_rss_mb, minor_faults = tool.run_preset(
+    digests, wall_s, cpu_s, peak_rss_mb, minor_faults = tool.run_preset(
         "strip-table", tmp_path / "strip-table")
     assert digests == tool.load_digests()["strip-table"]
-    assert 0.0 < wall_s and 1.0 < peak_rss_mb < 1024.0 and minor_faults > 0
+    assert 0.0 < wall_s and 0.0 < cpu_s and 1.0 < peak_rss_mb < 1024.0 and minor_faults > 0
     with pytest.raises(RuntimeError, match="no-such-preset exited 2: usage"):
         tool.run_preset("no-such-preset", tmp_path / "none")
 
@@ -82,7 +83,7 @@ def test_named_presets_run_alone_and_write_only_their_entries(tmp_path, monkeypa
     def moved_outputs(experiment, out_dir):
         ran.append(experiment)
         files = {name: tool.file_digest([experiment, "moved"]) for name in committed[experiment]}
-        return files, 1.0, 50.0, 1000
+        return files, 1.0, 0.9, 50.0, 1000
 
     monkeypatch.setattr(tool, "run_preset", moved_outputs)
     assert tool.main(["zone-id", "mod-constant"]) == 1  # compared, and mismatched

@@ -343,8 +343,8 @@ class TestSpectrumRunner:
         assert len(manifest.records) == 164
 
 
-# OMP screens its correlations and reads its Gram entries from p, built once for
-# the sweep's one operator; zone-id's one-step pursuit screens nothing and builds none
+# OMP certifies its picks and reads its Gram entries from p, built once for the
+# sweep's one operator; zone-id's one-step pursuit certifies nothing and builds none
 POINT_SPREAD_BUILDS = {"recovery-sweep": 1, "zone-id": 0}
 
 

@@ -455,26 +455,31 @@ class TestCoherence:
     @pytest.mark.parametrize("n", [2, 7, 1001, 2**14 + 3])
     @pytest.mark.parametrize("chunk", [3, 64, sensing._PSF_CHUNK])
     def test_equals_brute_force_max(self, n, chunk, monkeypatch):
-        """mu and its lowest offset equal a brute-force max of |p[d]| over every d != 0,
-        whichever chunks the half-spectrum scan takes."""
+        """mu and its lowest offset equal a brute-force max of min(|p[d]|, 1) over
+        every d != 0, whichever chunks the envelope scan takes. A single sampled
+        index gives |p[d]| = 1 at every d, which rounds to either side of 1.0."""
         monkeypatch.setattr(sensing, "_PSF_CHUNK", chunk)
         rng = np.random.default_rng(n)
         for k in sorted({1, max(1, n // 8), n - 1, n}):
             indices = np.sort(rng.choice(n, size=k, replace=False))
             op = SensingOperator(TimeGrid(t_atom=1e-9, n_points=n), SampleSchedule(indices))
-            magnitude = np.abs(op.point_spread)
+            magnitude = np.minimum(np.abs(op.point_spread), 1.0)
             magnitude[0] = -1.0
             mu, offset = op.coherence()
             assert (mu, offset) == (magnitude.max(), int(np.argmax(magnitude)))
             assert type(mu) is float and type(offset) is int
             assert op.coherence() is op.coherence()  # taken once, then kept
 
-    @pytest.mark.parametrize("n,s", [(6, 3), (1001, 7), (1024, 8), (10**5, 50), (2**18, 64)])
+    @pytest.mark.parametrize("n,s", [(6, 3), (1001, 7), (1024, 8), (10**5, 50), (2**18, 64),
+                                     (10**6, 500)])
     def test_every_s_th_index_gives_exactly_one_at_n_over_s(self, n, s):
-        """A comb of every s-th index aliases bins N/s apart: p[N/s] = 1. At these
-        sizes the FFT of the comb is exact; at others its peaks can round by an
-        ulp (N = 10^6 with s = 500 gives 1.0000000000000002 at 21 N/s)."""
+        """A comb of every s-th index aliases bins N/s apart: p[N/s] = 1. At the
+        first five sizes the FFT of the comb is exact. At N = 10^6 with s = 500
+        its peaks round by an ulp, to 1.0000000000000002 at 21 N/s, and mu still
+        reads 1.0 at N/s, since |p[d]| <= 1 exactly."""
         op = SensingOperator(TimeGrid(t_atom=1e-9, n_points=n), SampleSchedule(np.arange(0, n, s)))
+        if n == 10**6:  # the rounding that mu leaves out
+            assert abs(op.point_spread[21 * n // s]) > 1.0
         assert op.coherence() == (1.0, n // s)
 
     def test_criterion_05_grid_peaks_past_its_pairwise_bound(self):
