@@ -36,9 +36,11 @@ evaluated, and unless their best rules out every other chunk the row
 refreshes: one adjoint of its explicit residual into the workspace, whose
 argmax is taken. Certified and refreshed correlations differ in their last
 bits, and on every row tested they picked the bins that a full adjoint per
-iteration picks. On the recovery benchmark no row refreshes. A one-step
-pursuit (``max_iters = 1``) certifies nothing, and builds no ``p`` and no
-envelope.
+iteration picks. On the recovery benchmark no row refreshes. Every argmax
+over a fresh reference correlation, a one-step pursuit's (``max_iters = 1``)
+too, is one scan that fills the per-chunk maxima and takes the lowest bin of
+the first chunk of largest maximum. A one-step pursuit certifies nothing, and
+builds no ``p`` and no envelope.
 
 ``omp_recover_batch`` pursues its rows one at a time, each from its own
 measurement row alone, so every result is the one ``omp_recover`` gives for
@@ -61,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import sensing
-from .sensing import SensingOperator, _chunk_maxima, _strongest_bin
+from .sensing import SensingOperator, _chunk_maxima
 from .signal_clock import TimeGrid, ToneSpec, add_noise, sample_tones
 
 # sizes each call's workspace at min(3, 2^19 // N) rows of N points, at least
@@ -145,11 +147,13 @@ def omp_recover_batch(op: SensingOperator, Y: np.ndarray, max_iters: int) -> lis
         raise ValueError(f"measurement row {int(np.argmin(finite))} is not finite")
 
     # a one-step pursuit certifies nothing, so it builds no point-spread function
-    # and no envelope; otherwise both are built here, before the workspace
+    # and no envelope, only its scan's per-chunk maxima; otherwise the certificate
+    # builds both here, before the workspace
     certificate = _Certificate(op) if max_iters > 1 else None
+    maxima = certificate.R if certificate else np.empty(-(-op.n_bins // sensing._ENVELOPE_BINS))
     rows = min(3, max(1, _BATCH_POINTS // op.n_bins), len(Y))
     work = np.empty((rows, op.n_bins), dtype=complex)
-    return [_pursue(op, y, max_iters, certificate, work[0]) for y in Y]
+    return [_pursue(op, y, max_iters, certificate, work[0], maxima) for y in Y]
 
 
 def pursue_trials(
@@ -178,12 +182,14 @@ def _pursue(
     max_iters: int,
     certificate: Optional[_Certificate],
     work: np.ndarray,
+    maxima: np.ndarray,
 ) -> RecoveryResult:
     """The OMP iteration for one measurement row, its adjoints written into ``work``.
 
     ``certificate`` is None for a one-step pursuit. ``work`` holds the
     reference correlation, taken at the coefficients ``reference``, whose
-    largest magnitude outside the support is ``peak``.
+    largest magnitude outside the support is ``peak``, and ``maxima`` its
+    per-chunk maxima outside the support (the certificate's ``R``).
     """
     y_norm = float(np.linalg.norm(y))
     support: list[int] = []
@@ -202,10 +208,7 @@ def _pursue(
             if bin_j is None:  # refresh: one adjoint of the explicit residual
                 op.adjoint(residual, out=work)
         if bin_j is None:
-            if certificate is None:
-                bin_j, peak = _strongest_bin(work, support)
-            else:
-                bin_j, peak = certificate.rescan(work, support)
+            bin_j, peak = _strongest_bin(work, support, maxima)
             reference = coefficients
 
         if i:  # <a_i, a_j> = p[(b_j - b_i) mod N]; a one-step pursuit has no p
@@ -229,6 +232,29 @@ def _pursue(
         if residual_norms[-1] <= _RESIDUAL_TOL * y_norm:
             break
     return RecoveryResult(support, coefficients, residual_norms)
+
+
+def _strongest_bin(work: np.ndarray, support: Sequence[int], maxima: np.ndarray) -> tuple[int, float]:
+    """The bin outside ``support`` of largest ``|work|``, and that magnitude.
+
+    ``maxima`` is left holding ``_chunk_maxima`` of ``work``, and the lowest
+    chunk of the largest maximum holds that bin, so ties resolve to the lowest
+    bin, as in ``numpy.argmax``.
+    """
+    _chunk_maxima(work, support, maxima)
+    top = int(np.argmax(maxima))
+    mag = _chunk_magnitude(work, support, top)
+    return top * sensing._ENVELOPE_BINS + int(np.argmax(mag)), float(maxima[top])
+
+
+def _chunk_magnitude(work: np.ndarray, support: Sequence[int], c: int) -> np.ndarray:
+    """``|work|`` over the W-bin chunk c, with the support's bins at -1.0."""
+    lo = c * sensing._ENVELOPE_BINS
+    mag = np.abs(work[lo : lo + sensing._ENVELOPE_BINS])
+    for b in support:
+        if lo <= b < lo + len(mag):
+            mag[b - lo] = -1.0
+    return mag
 
 
 class _Certificate:
@@ -258,28 +284,10 @@ class _Certificate:
         self.gathered = np.empty(max(sensing._PSF_CHUNK, -(-len(q) // 2)), dtype=complex)
         self.offsets = np.empty(sensing._PSF_CHUNK, dtype=np.int64)
 
-    def rescan(self, work: np.ndarray, support: Sequence[int]) -> tuple[int, float]:
-        """Take ``R`` from a fresh reference correlation in ``work``; return its
-        strongest bin outside ``support`` (lowest on ties) and that magnitude."""
-        _chunk_maxima(work, support, self.R)
-        top = int(np.argmax(self.R))
-        mag = self._chunk(work, support, top)
-        return top * sensing._ENVELOPE_BINS + int(np.argmax(mag)), float(self.R[top])
-
     def drop(self, work: np.ndarray, support: Sequence[int], bin_j: int) -> None:
         """Keep ``R`` exact once ``bin_j`` has joined ``support``: rescan its chunk."""
         c = bin_j // sensing._ENVELOPE_BINS
-        self.R[c] = self._chunk(work, support, c).max()
-
-    @staticmethod
-    def _chunk(work: np.ndarray, support: Sequence[int], c: int) -> np.ndarray:
-        """``|work|`` over chunk c, with the support's bins at -1.0."""
-        lo = c * sensing._ENVELOPE_BINS
-        mag = np.abs(work[lo : lo + sensing._ENVELOPE_BINS])
-        for b in support:
-            if lo <= b < lo + len(mag):
-                mag[b - lo] = -1.0
-        return mag
+        self.R[c] = _chunk_magnitude(work, support, c).max()
 
     def _bound(self, support: Sequence[int], weights: np.ndarray, n: int) -> np.ndarray:
         """``R[c] + sum_j weights_j E_j[c]``, with ``E_j[c]`` the pair table at
@@ -318,12 +326,15 @@ class _Certificate:
         not be evaluated once its bound lies below ``best - margin``, with the
         margin ``4 (i + 2) eps (peak + sum_j |dc_j|)`` covering the rounding of
         the i + 1 terms behind each value and bound. The chunk of largest bound
-        is evaluated first, then the chunks its best magnitude cannot rule out,
-        or if they hold more than ``_PSF_CHUNK`` bins the ``_PSF_CHUNK / W`` of
-        largest bound, whose best must then rule out the rest. Either set holds
-        every chunk that its best does not rule out, and ties resolve to the
-        lowest bin. With ``_PSF_CHUNK < 3 W`` an evaluated chunk's rows would
-        not fit the buffers, and every pick refreshes.
+        is evaluated first. Unless its best rules out every other chunk, the
+        chunks of largest bound are evaluated in bin order: all those it leaves
+        open, or past ``_PSF_CHUNK`` bins the ``_PSF_CHUNK / W`` of largest bound
+        (with any that tie the last), whose best must then rule out every other
+        chunk. So ties resolve to the lowest bin. ``numpy.partition`` finds the
+        last bound taken; ``argpartition`` and a sort of its indices took the
+        same chunks, but faulted in about 250 KB more of numpy's code on the
+        recovery benchmark. With ``_PSF_CHUNK < 3 W`` an evaluated chunk's rows
+        would not fit the buffers, and every pick refreshes.
         """
         budget = sensing._PSF_CHUNK // sensing._ENVELOPE_BINS  # chunks evaluated at most
         if budget < 3:
@@ -335,13 +346,11 @@ class _Certificate:
         margin = 4 * (len(support) + 2) * np.finfo(float).eps * (peak + float(weights.sum()))
         best = self._evaluate(work, support, delta, np.array([int(np.argmax(ceiling))]))
         open_chunks = np.count_nonzero(ceiling >= best[0] - margin)
-        if open_chunks > 1:
-            if open_chunks <= budget:
-                chunks = np.flatnonzero(ceiling >= best[0] - margin)
-            else:
-                chunks = np.sort(np.argpartition(ceiling, len(ceiling) - budget)[-budget:])
-            best = self._evaluate(work, support, delta, chunks)
-            if open_chunks > budget and np.count_nonzero(ceiling >= best[0] - margin) > budget:
+        if open_chunks > 1:  # the open chunks are those of largest bound, in bin order
+            top = min(open_chunks, budget)
+            kth = np.partition(ceiling, -top)[-top]
+            best = self._evaluate(work, support, delta, np.flatnonzero(ceiling >= kth))
+            if np.count_nonzero(ceiling >= best[0] - margin) > budget:
                 return None
         return best[1]
 

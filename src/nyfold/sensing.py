@@ -37,7 +37,10 @@ from .signal_clock import SampleSchedule, TimeGrid
 # benchmark
 _PSF_CHUNK = 8192
 # bins per chunk of the point-spread envelope, whose per-chunk maxima of |p|
-# bound OMP's correlation updates chunk by chunk (see omp.py)
+# bound OMP's correlation updates chunk by chunk (see omp.py). 32, 64 and 128
+# ran alike: OMP CPU within 10% and the same 36 adjoints on the recovery
+# benchmark's inputs, and 26-32 adjoints for 8 rows at s = 60, 0 dB, on the
+# desk grid (in-process; 2-core VM, one BLAS thread)
 _ENVELOPE_BINS = 64
 
 
@@ -52,20 +55,6 @@ def _chunk_magnitudes(correlation: np.ndarray, support: Sequence[int]):
             if lo <= b < lo + len(mag):
                 mag[b - lo] = -1.0
         yield lo, mag
-
-
-def _strongest_bin(correlation: np.ndarray, support: Sequence[int]) -> tuple[int, float]:
-    """The bin outside ``support`` of largest ``|correlation|``, and that magnitude.
-
-    A later chunk wins only with a strictly larger magnitude, so ties resolve
-    to the lowest bin, as in ``numpy.argmax``.
-    """
-    best, best_bin = -math.inf, 0
-    for lo, mag in _chunk_magnitudes(correlation, support):
-        top = int(np.argmax(mag))
-        if mag[top] > best:
-            best, best_bin = float(mag[top]), lo + top
-    return best_bin, best
 
 
 def _chunk_maxima(values: np.ndarray, skip: Sequence[int], out: np.ndarray) -> np.ndarray:

@@ -477,33 +477,40 @@ class TestPointSpreadCorrelations:
         for support in supports:
             magnitude = np.abs(g)
             magnitude[support] = -1.0
-            assert sensing._strongest_bin(g, support) == (int(np.argmax(magnitude)),
-                                                          magnitude.max())
             padded = np.full(-(-n // width) * width, -1.0)
             padded[:n] = magnitude
-            maxima = sensing._chunk_maxima(g, support, np.empty(len(padded) // width))
+            maxima = np.empty(len(padded) // width)
+            assert omp._strongest_bin(g, support, maxima) == (int(np.argmax(magnitude)),
+                                                              magnitude.max())
             assert maxima.tobytes() == padded.reshape(-1, width).max(axis=1).tobytes()
         assert np.array_equal(g, unread)
 
     def test_ties_across_chunks_go_to_the_lowest_bin(self, monkeypatch):
-        """The scan, the rescan and the certified pick all resolve ties to the
-        lowest bin, across W-bin chunks and across the chunks evaluated."""
-        monkeypatch.setattr(sensing, "_PSF_CHUNK", 12)
+        """The scan and the certified pick resolve ties to the lowest bin, across
+        scan chunks, across W-bin chunks and across the chunks evaluated."""
         monkeypatch.setattr(sensing, "_ENVELOPE_BINS", 4)
         p = np.zeros(12, dtype=complex)
         p[0], p[2], p[10] = 1.0, -0.25, -0.25  # Hermitian, as every operator's p is
+        g = np.zeros(12, dtype=complex)
+        g[[3, 4, 5, 7, 9]] = [1.75, 2.0, 8.0, 1.75, 2j]
+        maxima = np.empty(3)
+        # scan chunks of 4 bins hold one W-bin chunk each; of 6, chunk 1 is split
+        for scan in (4, 6):
+            monkeypatch.setattr(sensing, "_PSF_CHUNK", scan)
+            assert omp._strongest_bin(g, [], maxima) == (5, 8.0)
+            # without bin 5, |g| = 2 ties at bins 4 and 9, in W-bin chunks 1 and 2
+            # and in different scan chunks
+            assert omp._strongest_bin(g, [5], maxima) == (4, 2.0)
+            assert maxima.tolist() == [1.75, 2.0, 2.0]
+
+        monkeypatch.setattr(sensing, "_PSF_CHUNK", 12)  # a pick evaluates up to 3 chunks
 
         class Stub:  # the certificate reads p and its per-chunk maxima
             point_spread = p
             _psf_envelope = sensing._chunk_maxima(p, [0], np.empty(3))
 
-        g = np.zeros(12, dtype=complex)
-        g[[3, 4, 5, 7, 9]] = [1.75, 2.0, 8.0, 1.75, 2j]
-        assert sensing._strongest_bin(g, []) == (5, 8.0)
         certificate = omp._Certificate(Stub())
-        assert certificate.rescan(g, []) == (5, 8.0)
-        # without bin 5, |g| = 2 ties at bins 4 and 9, in chunks 1 and 2
-        assert sensing._strongest_bin(g, [5]) == (4, 2.0)
+        omp._strongest_bin(g, [], certificate.R)
         certificate.drop(g, [5], 5)
         assert certificate.R.tolist() == [1.75, 2.0, 2.0]
         # bin 5 joins with c = 1: alpha = g - p[(5 - n) mod 12] is 2 at bins 3, 4,
@@ -555,20 +562,23 @@ class TestPointSpreadCorrelations:
         assert len(omp_recover_batch(NoPointSpread(op.grid, op.schedule), rows, 1)) == 2
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    n=st.sampled_from([512, 1001, 2**14 + 3, 2**18]),
+    n=st.sampled_from([7, 512, 1001, 2**14 + 3, 2**18]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     atoms=st.integers(min_value=1, max_value=8),
     kept=st.integers(min_value=0, max_value=8),
     scale=st.floats(min_value=1e-3, max_value=1e3),
     chunk=st.sampled_from([16, 256, sensing._PSF_CHUNK]),
 )
+# one sampled index: |p| = 1 at every offset, and |alpha| ties at all six other bins
+@example(n=7, seed=42149, atoms=1, kept=1, scale=1.0, chunk=sensing._PSF_CHUNK)
 def test_chunk_bound_holds_at_every_bin_outside_the_support(n, seed, atoms, kept, scale, chunk):
     """Every bin n of chunk c outside the support has |alpha[n]| <= R[c] + sum_j
     |dc_j| E_j[c], alpha and alpha' taken by full adjoints of explicit residuals,
     and each E_j[c] is at least a brute-force max of |p[(b_j - n) mod N]| over the
-    chunk's bins n != b_j. W divides N = 512 and 2^18 but not 1001 or 2^14 + 3. A
+    chunk's bins n != b_j. W divides N = 512 and 2^18 but not 1001 or 2^14 + 3,
+    and N = 7 is one partial chunk. A
     certified pick is the full argmax up to rounding; with ``_PSF_CHUNK`` below
     W, every pick refreshes."""
     width = sensing._ENVELOPE_BINS
@@ -577,7 +587,8 @@ def test_chunk_bound_holds_at_every_bin_outside_the_support(n, seed, atoms, kept
         rng = np.random.default_rng(seed)
         indices = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         op = SensingOperator(TimeGrid(t_atom=1e-9, n_points=n), SampleSchedule(indices))
-        support = rng.choice(n, size=atoms, replace=False).tolist()
+        support = rng.choice(n, size=min(atoms, n - 1), replace=False).tolist()
+        atoms = len(support)
         chosen = op.atoms(support)
 
         def gaussian(size):
@@ -603,7 +614,7 @@ def test_chunk_bound_holds_at_every_bin_outside_the_support(n, seed, atoms, kept
             brute[b] = 0.0
             assert np.all(envelope >= brute.reshape(-1, width).max(axis=1))
 
-        _, peak = certificate.rescan(earlier, support)
+        _, peak = omp._strongest_bin(earlier, support, certificate.R)
         bound = certificate._bound(support, np.abs(delta), n)
         slack = 1e-12 * (np.abs(earlier).max() + np.abs(delta).sum())  # two FFTs' rounding
         outside = np.ones(n, dtype=bool)
@@ -659,7 +670,7 @@ class TestCertificateRefreshes:
         the flat |alpha'| of a noise-only row: the bound adds their magnitudes
         while alpha mixes them, so too many chunks stay open and the pick
         refreshes. No temporary of the certificate holds more than a chunk:
-        building it, a rescan and the failed pick trace a peak under 8 chunks of
+        building it, a scan and the failed pick trace a peak under 8 chunks of
         complex values, a quarter of one length-N complex row."""
         op, y = self.noise_row()
         g = op.adjoint(y)
@@ -669,7 +680,7 @@ class TestCertificateRefreshes:
         tracemalloc.start()
         try:
             certificate = omp._Certificate(op)
-            _, peak = certificate.rescan(g, support)
+            _, peak = omp._strongest_bin(g, support, certificate.R)
             change = 100 * peak * np.exp(2j * np.pi * rng.random(20))
             pick = certificate.pick(g, support, change, np.zeros(0, dtype=complex), peak)
             _, traced = tracemalloc.get_traced_memory()
