@@ -369,7 +369,6 @@ class _Certificate:
         """
         width, n, size = sensing._ENVELOPE_BINS, len(work), sensing._PSF_CHUNK
         atoms = np.asarray(support)
-        held = atoms // width
         past = len(self.R) * width - n  # bins of the last chunk past N - 1
         per = max(1, size // ((len(atoms) + 2) * width))  # chunks per block
         best = (-math.inf, 0)
@@ -392,9 +391,8 @@ class _Certificate:
             mag = np.abs(values, out=product.view(float)[:span])
             if past and block[-1] == len(self.R) - 1:
                 mag[span - past :] = -1.0
-            at = np.minimum(np.searchsorted(block, held), len(block) - 1)
-            hit = block[at] == held
-            mag[at[hit] * width + atoms[hit] % width] = -1.0
+            at = np.searchsorted(bins, atoms)  # bins ascend
+            mag[at[np.take(bins, at, mode="clip") == atoms]] = -1.0
             top = int(np.argmax(mag))
             if mag[top] > best[0]:  # a later block holds only higher bins
                 best = (float(mag[top]), int(bins[top]))
